@@ -94,11 +94,15 @@ scale-smoke:
 	$(GO) test -race -count=1 -run 'TestScaleSmoke' -v ./internal/viewersim/
 
 # fuzz smoke: a short bounded run of each journal fuzz target (round-trip
-# encode/decode and replay over corrupted logs). `go test -fuzz` accepts one
-# target per invocation, hence the two runs.
+# encode/decode and replay over corrupted logs) and of the control plane's
+# (recovery over a corrupted control journal; arbitrary requests against the
+# HTTP route table). `go test -fuzz` accepts one target per invocation, hence
+# one run each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz '^FuzzControlJournalRecovery$$' -fuzztime 10s ./internal/control/
+	$(GO) test -run '^$$' -fuzz '^FuzzControlHandler$$' -fuzztime 10s ./internal/control/
 
 # benchguard re-runs the hot-path benchmarks and fails on allocs/op
 # regressions against the recorded baselines in BENCH_fanout.json.

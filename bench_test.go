@@ -620,13 +620,13 @@ func BenchmarkControlRecovery(b *testing.B) {
 		const broadcasts = 32
 		for i := 0; i < broadcasts; i++ {
 			u := seed.Register(fmt.Sprintf("bench-user-%d", i))
-			g, err := seed.StartBroadcast(u.ID, geo.Location{})
+			g, err := seed.StartBroadcast(control.StartRequest{UserID: u.ID})
 			if err != nil {
 				b.Fatal(err)
 			}
 			for v := 0; v < 3; v++ {
 				vu := seed.Register(fmt.Sprintf("bench-viewer-%d-%d", i, v))
-				if _, err := seed.Join(vu.ID, g.BroadcastID, geo.Location{}); err != nil {
+				if _, err := seed.Join(control.JoinRequest{UserID: vu.ID, BroadcastID: g.BroadcastID}); err != nil {
 					b.Fatal(err)
 				}
 			}

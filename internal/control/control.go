@@ -95,18 +95,19 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// BroadcastGrant is what a broadcaster gets back from StartBroadcast.
+// BroadcastGrant is what a broadcaster gets back from StartBroadcast. The
+// JSON tags are the control API's wire format.
 type BroadcastGrant struct {
-	BroadcastID string
-	Token       string
-	OriginID    string
-	RTMPAddr    string
-	MessageURL  string
+	BroadcastID string `json:"broadcast_id"`
+	Token       string `json:"token"`
+	OriginID    string `json:"origin_id"`
+	RTMPAddr    string `json:"rtmp_addr,omitempty"`
+	MessageURL  string `json:"message_url"`
 	// Private broadcasts upload over RTMPS instead (§7.2); RTMPSAddr and
 	// CAPEM are only set for them.
-	Private   bool
-	RTMPSAddr string
-	CAPEM     []byte
+	Private   bool   `json:"private,omitempty"`
+	RTMPSAddr string `json:"rtmps_addr,omitempty"`
+	CAPEM     []byte `json:"ca_pem,omitempty"`
 }
 
 // Protocol selects a viewer's delivery path.
@@ -121,16 +122,17 @@ const (
 // ViewerGrant is what a viewer gets back from Join. Mirroring Periscope,
 // RTMP joins also receive the HLS URL (the paper's crawler exploited this to
 // obtain both, §4.3). Private-broadcast grants instead carry an RTMPS
-// address, a per-viewer token, and the platform CA.
+// address, a per-viewer token, and the platform CA. The JSON tags are the
+// control API's wire format.
 type ViewerGrant struct {
-	Protocol    Protocol
-	RTMPAddr    string
-	HLSBaseURL  string
-	MessageURL  string
-	Private     bool
-	RTMPSAddr   string
-	ViewerToken string
-	CAPEM       []byte
+	Protocol    Protocol `json:"protocol"`
+	RTMPAddr    string   `json:"rtmp_addr,omitempty"`
+	HLSBaseURL  string   `json:"hls_base_url,omitempty"`
+	MessageURL  string   `json:"message_url"`
+	Private     bool     `json:"private,omitempty"`
+	RTMPSAddr   string   `json:"rtmps_addr,omitempty"`
+	ViewerToken string   `json:"viewer_token,omitempty"`
+	CAPEM       []byte   `json:"ca_pem,omitempty"`
 }
 
 // ProtoRTMPS is the private-broadcast delivery path.
@@ -165,7 +167,7 @@ type broadcastState struct {
 	ended       bool
 	loc         geo.Location
 	// tenantID is the owning tenant for key-authenticated broadcasts;
-	// empty for the legacy anonymous surface.
+	// empty for anonymous ones.
 	tenantID string
 	joins    []ViewerJoin
 	pubKey   ed25519.PublicKey
@@ -192,12 +194,15 @@ type Service struct {
 
 	// crashed marks a killed control plane: every public method answers
 	// ErrUnavailable (503 over HTTP) until Recover replays the journal.
+	// Crash sets it under mu and mutations test it under mu, so no
+	// mutation can commit after the journal writer is detached.
 	crashed atomic.Bool
 
 	// joins is the per-tenant join limiter: one keyed bucket map, rates
 	// derived from each tenant's plan at the Allow call (DESIGN.md §11).
-	// It sits outside s.mu (it has its own lock) and outside the journaled
-	// state — throttle buckets are volatile by design.
+	// Keyed join admission calls it under s.mu (lock order s.mu → its own
+	// lock). It sits outside the journaled state — throttle buckets are
+	// volatile by design.
 	joins *KeyedLimiter
 
 	mu         sync.Mutex
@@ -284,12 +289,6 @@ func (s *Service) SetMessageURL(url string) {
 	s.cfg.Routes.MessageURL = url
 }
 
-func (s *Service) messageURL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Routes.MessageURL
-}
-
 // Register creates a user with the next sequential ID. It is the legacy
 // always-succeeds surface; callers that must observe a control outage use
 // RegisterUser.
@@ -301,19 +300,14 @@ func (s *Service) Register(name string) User {
 // RegisterUser creates a user with the next sequential ID, failing with
 // ErrUnavailable while the control plane is down.
 func (s *Service) RegisterUser(name string) (User, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.crashed.Load() {
 		return User{}, ErrUnavailable
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextUser++
-	u := User{ID: s.nextUser, Name: name}
-	s.users[u.ID] = u
-	s.appendLocked(journal.Record{
-		Type:    journal.RecordCtrlRegister,
-		Payload: encodeCtrl(ctrlRegisterRec{ID: u.ID, Name: name}),
-	})
-	return u, nil
+	id := s.nextUser + 1
+	opRegister.commitLocked(s, "", ctrlRegisterRec{ID: id, Name: name})
+	return s.users[id], nil
 }
 
 // UserCount returns the total registered users (the paper's §3.1 estimate
@@ -333,34 +327,32 @@ func newToken() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// StartBroadcast creates a live public broadcast for userID at loc.
-func (s *Service) StartBroadcast(userID uint64, loc geo.Location) (BroadcastGrant, error) {
-	return s.startBroadcast(userID, loc, nil)
+// StartRequest asks for a new broadcast.
+type StartRequest struct {
+	// APIKey, when set, makes the broadcast tenant-owned: the key is
+	// resolved and the tenant's plan cap checked in the critical section
+	// that creates the broadcast (DESIGN.md §11). Empty is the anonymous,
+	// untenanted surface.
+	APIKey   string
+	UserID   uint64
+	Location geo.Location
+	// Private broadcasts admit only Allowed (and the broadcaster) and are
+	// delivered over RTMPS (§2.1's private broadcasts, §7.2's transport).
+	// They need the platform's TLS listeners and cannot be key-owned.
+	Private bool
+	Allowed []uint64
 }
 
-// StartPrivateBroadcast creates a broadcast only the allowed users may
-// join, delivered over RTMPS (§2.1's private broadcasts, §7.2's transport).
-// It fails when the platform has no TLS listeners configured.
-func (s *Service) StartPrivateBroadcast(userID uint64, loc geo.Location, allowed []uint64) (BroadcastGrant, error) {
-	if s.cfg.Routes.RTMPSAddr == nil {
+// StartBroadcast creates a live broadcast. It is the one start path: key
+// resolution, suspension, and the plan cap run under the same lock as the
+// journaled start record.
+func (s *Service) StartBroadcast(req StartRequest) (BroadcastGrant, error) {
+	if req.Private && req.APIKey != "" {
+		return BroadcastGrant{}, errKeyedPrivate
+	}
+	if req.Private && s.cfg.Routes.RTMPSAddr == nil {
 		return BroadcastGrant{}, errors.New("control: private broadcasts not enabled")
 	}
-	set := make(map[uint64]bool, len(allowed))
-	for _, u := range allowed {
-		set[u] = true
-	}
-	return s.startBroadcast(userID, loc, set)
-}
-
-func (s *Service) startBroadcast(userID uint64, loc geo.Location, allowed map[uint64]bool) (BroadcastGrant, error) {
-	return s.startBroadcastAs(userID, loc, allowed, "")
-}
-
-// startBroadcastAs is the shared start path; tenantID is empty for the
-// legacy anonymous surface and set for key-authenticated starts, in which
-// case plan admission (max concurrent broadcasts) runs inside the same
-// critical section that creates the broadcast.
-func (s *Service) startBroadcastAs(userID uint64, loc geo.Location, allowed map[uint64]bool, tenantID string) (BroadcastGrant, error) {
 	if s.crashed.Load() {
 		return BroadcastGrant{}, ErrUnavailable
 	}
@@ -368,118 +360,70 @@ func (s *Service) startBroadcastAs(userID uint64, loc geo.Location, allowed map[
 	if err != nil {
 		return BroadcastGrant{}, err
 	}
-	originID, rtmpAddr := "", ""
-	if s.cfg.Routes.AssignOrigin != nil {
-		originID, rtmpAddr = s.cfg.Routes.AssignOrigin(loc)
-	}
-	private := allowed != nil
-	rtmpsAddr := ""
-	if private {
-		rtmpsAddr = s.cfg.Routes.RTMPSAddr(originID)
-	}
-	s.mu.Lock()
-	var tenant *tenantState
-	if tenantID != "" {
-		ts, ok := s.tenants[tenantID]
-		if !ok {
-			s.mu.Unlock()
-			return BroadcastGrant{}, ErrNoTenant
-		}
-		// Re-check under the lock: the key resolution ran outside it.
-		if ts.t.Suspended {
-			s.mu.Unlock()
-			return BroadcastGrant{}, ErrTenantSuspended
-		}
-		if max := ts.t.Plan.MaxConcurrentBroadcasts; max > 0 && ts.live >= max {
-			s.mu.Unlock()
-			return BroadcastGrant{}, &QuotaError{
-				Reason:     "concurrent broadcasts at plan limit",
-				RetryAfter: time.Second,
-			}
-		}
-		tenant = ts
-	}
-	s.nextBcast++
-	id := fmt.Sprintf("bcast-%d", s.nextBcast)
-	st := &broadcastState{
-		id:          id,
-		token:       token,
-		broadcaster: userID,
-		originID:    originID,
-		rtmpAddr:    rtmpAddr,
-		rtmpsAddr:   rtmpsAddr,
-		startedAt:   s.clock.Now(),
-		loc:         loc,
-		private:     private,
-		allowed:     allowed,
-		tenantID:    tenantID,
-		started:     make(chan struct{}),
-	}
-	if private {
-		st.viewerTokens = make(map[string]bool)
-	}
-	if tenant != nil {
-		tenant.live++
-	}
-	s.broadcasts[id] = st
-	if !private {
-		// Private broadcasts never appear on the public global list.
-		s.livePos[id] = len(s.liveIDs)
-		s.liveIDs = append(s.liveIDs, id)
-	}
+	loc := req.Location
 	rec := ctrlStartRec{
 		Token:       token,
-		Broadcaster: userID,
-		OriginID:    originID,
-		RTMPAddr:    rtmpAddr,
-		RTMPSAddr:   rtmpsAddr,
-		StartedAt:   st.startedAt.UnixNano(),
+		Broadcaster: req.UserID,
 		City:        loc.City,
 		Lat:         loc.Lat,
 		Lon:         loc.Lon,
-		Private:     private,
-		TenantID:    tenantID,
+		Private:     req.Private,
+		Allowed:     req.Allowed,
 	}
-	for u := range allowed {
-		rec.Allowed = append(rec.Allowed, u)
+	if s.cfg.Routes.AssignOrigin != nil {
+		rec.OriginID, rec.RTMPAddr = s.cfg.Routes.AssignOrigin(loc)
 	}
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlStart,
+	if req.Private {
+		rec.RTMPSAddr = s.cfg.Routes.RTMPSAddr(rec.OriginID)
+	}
+	s.mu.Lock()
+	if s.crashed.Load() {
+		s.mu.Unlock()
+		return BroadcastGrant{}, ErrUnavailable
+	}
+	if req.APIKey != "" {
+		ts, err := s.admitStartLocked(req.APIKey)
+		if err != nil {
+			s.mu.Unlock()
+			return BroadcastGrant{}, err
+		}
+		rec.TenantID = ts.t.ID
+	}
+	rec.StartedAt = s.clock.Now().UnixNano()
+	id := fmt.Sprintf("bcast-%d", s.nextBcast+1)
+	opStart.commitLocked(s, id, rec)
+	started := make(chan struct{})
+	s.broadcasts[id].started = started
+	g := BroadcastGrant{
 		BroadcastID: id,
-		Payload:     encodeCtrl(rec),
-	})
+		Token:       token,
+		OriginID:    rec.OriginID,
+		RTMPAddr:    rec.RTMPAddr,
+		MessageURL:  s.cfg.Routes.MessageURL,
+	}
+	if req.Private {
+		// Private uploads must not use plaintext RTMP.
+		g.Private, g.RTMPAddr, g.RTMPSAddr, g.CAPEM = true, "", rec.RTMPSAddr, s.cfg.Routes.TLSCertPEM
+	}
 	callbacks := make([]func(broadcastID, originID string), len(s.onStart))
 	copy(callbacks, s.onStart)
 	s.mu.Unlock()
 	for _, fn := range callbacks {
-		fn(id, originID)
+		fn(id, rec.OriginID)
 	}
 	// End paths block on this: OnEnd never runs before OnStart finished.
-	close(st.started)
-	g := BroadcastGrant{
-		BroadcastID: id,
-		Token:       token,
-		OriginID:    originID,
-		RTMPAddr:    rtmpAddr,
-		MessageURL:  s.messageURL(),
-		Private:     private,
-	}
-	if private {
-		g.RTMPSAddr = rtmpsAddr
-		g.CAPEM = s.cfg.Routes.TLSCertPEM
-		g.RTMPAddr = "" // private uploads must not use plaintext RTMP
-	}
+	close(started)
 	return g, nil
 }
 
 // RegisterPublicKey stores a broadcaster's signing key, authenticated by the
 // broadcast token. This is the §7.2 key exchange over the secure channel.
 func (s *Service) RegisterPublicKey(broadcastID, token string, pub ed25519.PublicKey) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.crashed.Load() {
 		return ErrUnavailable
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.broadcasts[broadcastID]
 	if !ok {
 		return ErrNoBroadcast
@@ -487,12 +431,7 @@ func (s *Service) RegisterPublicKey(broadcastID, token string, pub ed25519.Publi
 	if st.token != token {
 		return ErrBadToken
 	}
-	st.pubKey = append(ed25519.PublicKey(nil), pub...)
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlKey,
-		BroadcastID: broadcastID,
-		Payload:     encodeCtrl(ctrlKeyRec{PubKey: st.pubKey}),
-	})
+	opPubKey.commitLocked(s, broadcastID, ctrlKeyRec{PubKey: pub})
 	return nil
 }
 
@@ -510,21 +449,7 @@ func (s *Service) PublicKey(broadcastID string) ed25519.PublicKey {
 
 // EndBroadcast finishes a broadcast; requires the broadcast token.
 func (s *Service) EndBroadcast(broadcastID, token string) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
-	}
-	s.mu.Lock()
-	st, ok := s.broadcasts[broadcastID]
-	if !ok {
-		s.mu.Unlock()
-		return ErrNoBroadcast
-	}
-	if st.token != token {
-		s.mu.Unlock()
-		return ErrBadToken
-	}
-	s.endLocked(st)
-	return nil
+	return s.end(broadcastID, &token)
 }
 
 // ForceEnd finishes a broadcast without a token. It is for server-internal
@@ -533,74 +458,74 @@ func (s *Service) EndBroadcast(broadcastID, token string) error {
 // recorded — the caller must retry after recovery or the broadcast would
 // replay as falsely live.
 func (s *Service) ForceEnd(broadcastID string) error {
+	return s.end(broadcastID, nil)
+}
+
+// end marks the broadcast ended, journals the end, and fires the OnEnd
+// callbacks; token, when non-nil, must match. A no-op (beyond the checks)
+// when the broadcast already ended. It waits for the start side effects to
+// finish before firing OnEnd — see broadcastState.started — so a data-plane
+// end racing StartBroadcast cannot close the pubsub channel before it
+// opened.
+func (s *Service) end(broadcastID string, token *string) error {
+	s.mu.Lock()
 	if s.crashed.Load() {
+		s.mu.Unlock()
 		return ErrUnavailable
 	}
-	s.mu.Lock()
 	st, ok := s.broadcasts[broadcastID]
 	if !ok {
 		s.mu.Unlock()
 		return ErrNoBroadcast
 	}
-	s.endLocked(st)
-	return nil
-}
-
-// endLocked marks st ended, journals the end, and fires the OnEnd callbacks.
-// Called with s.mu held; returns with it released. A no-op (beyond the
-// unlock) when the broadcast already ended. It waits for the start side
-// effects to finish before firing OnEnd — see broadcastState.started — so a
-// data-plane end racing StartBroadcast cannot close the pubsub channel
-// before it opened or journal the end record ahead of the start record.
-func (s *Service) endLocked(st *broadcastState) {
+	if token != nil && st.token != *token {
+		s.mu.Unlock()
+		return ErrBadToken
+	}
 	if st.ended {
 		s.mu.Unlock()
-		return
+		return nil
 	}
-	st.ended = true
-	st.endedAt = s.clock.Now()
-	if st.tenantID != "" {
-		if ts, ok := s.tenants[st.tenantID]; ok && ts.live > 0 {
-			ts.live--
-		}
-	}
-	s.removeLiveLocked(st.id)
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlEnd,
-		BroadcastID: st.id,
-		Payload:     encodeCtrl(ctrlEndRec{EndedAt: st.endedAt.UnixNano()}),
-	})
+	opEnd.commitLocked(s, broadcastID, ctrlEndRec{EndedAt: s.clock.Now().UnixNano()})
 	callbacks := make([]func(broadcastID string), len(s.onEnd))
 	copy(callbacks, s.onEnd)
 	started := st.started
-	id := st.id
 	s.mu.Unlock()
 	<-started
 	for _, fn := range callbacks {
-		fn(id)
+		fn(broadcastID)
 	}
+	return nil
 }
 
-func (s *Service) removeLiveLocked(id string) {
-	pos, ok := s.livePos[id]
-	if !ok {
-		return
-	}
-	last := len(s.liveIDs) - 1
-	s.liveIDs[pos] = s.liveIDs[last]
-	s.livePos[s.liveIDs[pos]] = pos
-	s.liveIDs = s.liveIDs[:last]
-	delete(s.livePos, id)
+// JoinRequest asks for viewer access to a broadcast.
+type JoinRequest struct {
+	// APIKey, when set, bills the join to the key's tenant: the plan's join
+	// rate and daily delivered-bytes quota are checked before the join is
+	// recorded. Empty is the anonymous surface.
+	APIKey      string
+	UserID      uint64
+	BroadcastID string
+	Location    geo.Location
 }
 
 // Join records a viewer joining and routes them: joins below the RTMP limit
-// get the RTMP path, later ones HLS (§4.1).
-func (s *Service) Join(userID uint64, broadcastID string, loc geo.Location) (ViewerGrant, error) {
+// get the RTMP path, later ones HLS (§4.1); private broadcasts admit only
+// invited users, each with a minted RTMPS viewer token. Admission for keyed
+// joins runs under the same lock as the journaled join record.
+func (s *Service) Join(req JoinRequest) (ViewerGrant, error) {
+	s.mu.Lock()
 	if s.crashed.Load() {
+		s.mu.Unlock()
 		return ViewerGrant{}, ErrUnavailable
 	}
-	s.mu.Lock()
-	st, ok := s.broadcasts[broadcastID]
+	if req.APIKey != "" {
+		if err := s.admitJoinLocked(req.APIKey); err != nil {
+			s.mu.Unlock()
+			return ViewerGrant{}, err
+		}
+	}
+	st, ok := s.broadcasts[req.BroadcastID]
 	if !ok {
 		s.mu.Unlock()
 		return ViewerGrant{}, ErrNoBroadcast
@@ -609,8 +534,9 @@ func (s *Service) Join(userID uint64, broadcastID string, loc geo.Location) (Vie
 		s.mu.Unlock()
 		return ViewerGrant{}, ErrEnded
 	}
+	rec := ctrlJoinRec{UserID: req.UserID, At: s.clock.Now().UnixNano()}
 	if st.private {
-		if !st.allowed[userID] && st.broadcaster != userID {
+		if !st.allowed[req.UserID] && st.broadcaster != req.UserID {
 			s.mu.Unlock()
 			return ViewerGrant{}, ErrNotInvited
 		}
@@ -619,45 +545,24 @@ func (s *Service) Join(userID uint64, broadcastID string, loc geo.Location) (Vie
 			s.mu.Unlock()
 			return ViewerGrant{}, err
 		}
-		st.viewerTokens[vt] = true
-		join := ViewerJoin{UserID: userID, At: s.clock.Now()}
-		st.joins = append(st.joins, join)
-		s.appendLocked(journal.Record{
-			Type:        journal.RecordCtrlJoin,
-			BroadcastID: broadcastID,
-			Payload:     encodeCtrl(ctrlJoinRec{UserID: userID, At: join.At.UnixNano(), ViewerToken: vt}),
-		})
-		rtmpsAddr := st.rtmpsAddr
+		rec.ViewerToken = vt
+	}
+	opJoin.commitLocked(s, req.BroadcastID, rec)
+	grant := ViewerGrant{MessageURL: s.cfg.Routes.MessageURL}
+	switch {
+	case st.private:
+		grant.Protocol, grant.Private, grant.RTMPSAddr = ProtoRTMPS, true, st.rtmpsAddr
+		grant.ViewerToken, grant.CAPEM = rec.ViewerToken, s.cfg.Routes.TLSCertPEM
 		s.mu.Unlock()
-		return ViewerGrant{
-			Protocol:    ProtoRTMPS,
-			Private:     true,
-			RTMPSAddr:   rtmpsAddr,
-			ViewerToken: vt,
-			CAPEM:       s.cfg.Routes.TLSCertPEM,
-			MessageURL:  s.messageURL(),
-		}, nil
-	}
-	join := ViewerJoin{UserID: userID, At: s.clock.Now()}
-	st.joins = append(st.joins, join)
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlJoin,
-		BroadcastID: broadcastID,
-		Payload:     encodeCtrl(ctrlJoinRec{UserID: userID, At: join.At.UnixNano()}),
-	})
-	idx := len(st.joins)
-	rtmpAddr := st.rtmpAddr
-	s.mu.Unlock()
-
-	grant := ViewerGrant{MessageURL: s.messageURL()}
-	if s.cfg.Routes.AssignEdge != nil {
-		grant.HLSBaseURL = s.cfg.Routes.AssignEdge(broadcastID, loc)
-	}
-	if idx <= s.cfg.RTMPViewerLimit {
-		grant.Protocol = ProtoRTMP
-		grant.RTMPAddr = rtmpAddr
-	} else {
+		return grant, nil
+	case len(st.joins) <= s.cfg.RTMPViewerLimit:
+		grant.Protocol, grant.RTMPAddr = ProtoRTMP, st.rtmpAddr
+	default:
 		grant.Protocol = ProtoHLS
+	}
+	s.mu.Unlock()
+	if s.cfg.Routes.AssignEdge != nil {
+		grant.HLSBaseURL = s.cfg.Routes.AssignEdge(req.BroadcastID, req.Location)
 	}
 	return grant, nil
 }

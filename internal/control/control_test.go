@@ -43,7 +43,7 @@ func TestRegisterSequentialIDs(t *testing.T) {
 func TestBroadcastLifecycle(t *testing.T) {
 	s := newTestService()
 	u := s.Register("alice")
-	grant, err := s.StartBroadcast(u.ID, geo.Location{City: "NYC"})
+	grant, err := s.StartBroadcast(StartRequest{UserID: u.ID, Location: geo.Location{City: "NYC"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestBroadcastLifecycle(t *testing.T) {
 func TestJoinRoutesFirstNToRTMP(t *testing.T) {
 	s := newTestService()
 	u := s.Register("b")
-	grant, _ := s.StartBroadcast(u.ID, geo.Location{})
+	grant, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	for i := 0; i < 3; i++ {
-		g, err := s.Join(uint64(100+i), grant.BroadcastID, geo.Location{})
+		g, err := s.Join(JoinRequest{UserID: uint64(100 + i), BroadcastID: grant.BroadcastID})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestJoinRoutesFirstNToRTMP(t *testing.T) {
 			t.Fatal("RTMP join should still receive the HLS URL (§4.3)")
 		}
 	}
-	g, err := s.Join(999, grant.BroadcastID, geo.Location{})
+	g, err := s.Join(JoinRequest{UserID: 999, BroadcastID: grant.BroadcastID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,12 @@ func TestJoinRoutesFirstNToRTMP(t *testing.T) {
 func TestJoinEndedBroadcast(t *testing.T) {
 	s := newTestService()
 	u := s.Register("b")
-	grant, _ := s.StartBroadcast(u.ID, geo.Location{})
+	grant, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	s.EndBroadcast(grant.BroadcastID, grant.Token)
-	if _, err := s.Join(1, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrEnded) {
+	if _, err := s.Join(JoinRequest{UserID: 1, BroadcastID: grant.BroadcastID}); !errors.Is(err, ErrEnded) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := s.Join(1, "nope", geo.Location{}); !errors.Is(err, ErrNoBroadcast) {
+	if _, err := s.Join(JoinRequest{UserID: 1, BroadcastID: "nope"}); !errors.Is(err, ErrNoBroadcast) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestGlobalListSampling(t *testing.T) {
 	var tokens []string
 	var ids []string
 	for i := 0; i < 120; i++ {
-		g, _ := s.StartBroadcast(u.ID, geo.Location{})
+		g, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 		tokens = append(tokens, g.Token)
 		ids = append(ids, g.BroadcastID)
 	}
@@ -169,7 +169,7 @@ func TestCallbacks(t *testing.T) {
 	})
 	s.OnEnd(func(id string) { ended = append(ended, id) })
 	u := s.Register("b")
-	g, _ := s.StartBroadcast(u.ID, geo.Location{})
+	g, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	s.EndBroadcast(g.BroadcastID, g.Token)
 	if len(started) != 1 || len(ended) != 1 || started[0] != g.BroadcastID {
 		t.Fatalf("callbacks: started=%v ended=%v", started, ended)
@@ -179,7 +179,7 @@ func TestCallbacks(t *testing.T) {
 func TestAuthAdapter(t *testing.T) {
 	s := newTestService()
 	u := s.Register("b")
-	g, _ := s.StartBroadcast(u.ID, geo.Location{})
+	g, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	a := Auth{S: s}
 	if !a.Authorize(g.BroadcastID, g.Token, wire.RoleBroadcaster) {
 		t.Fatal("valid broadcaster token rejected")
@@ -202,7 +202,7 @@ func TestAuthAdapter(t *testing.T) {
 func TestPublicKeyRegistry(t *testing.T) {
 	s := newTestService()
 	u := s.Register("b")
-	g, _ := s.StartBroadcast(u.ID, geo.Location{})
+	g, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	pub, _, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestTokensUnique(t *testing.T) {
 	u := s.Register("b")
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		g, err := s.StartBroadcast(u.ID, geo.Location{})
+		g, err := s.StartBroadcast(StartRequest{UserID: u.ID})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestAuthCacheServesGrantsThroughOutage(t *testing.T) {
 	ac := NewAuthCache(AuthCacheConfig{Service: s, TTL: time.Minute, Clock: vc, Metrics: reg})
 
 	u := s.Register("alice")
-	grant, err := s.StartBroadcast(u.ID, geo.Location{})
+	grant, err := s.StartBroadcast(StartRequest{UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestAuthCacheLiveNoRevokes(t *testing.T) {
 	s := newTestService()
 	ac := NewAuthCache(AuthCacheConfig{Service: s})
 	u := s.Register("alice")
-	grant, _ := s.StartBroadcast(u.ID, geo.Location{})
+	grant, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	if !ac.Authorize(grant.BroadcastID, grant.Token, "publisher") {
 		t.Fatal("live authorize failed")
 	}
@@ -117,7 +117,7 @@ func TestAuthCachePartitionGate(t *testing.T) {
 		},
 	})
 	u := s.Register("alice")
-	grant, _ := s.StartBroadcast(u.ID, geo.Location{})
+	grant, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	if !ac.Authorize(grant.BroadcastID, grant.Token, "publisher") {
 		t.Fatal("live authorize failed")
 	}
@@ -168,7 +168,7 @@ func TestResolverCacheServesStaleEdgeDuringOutage(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, rc := resolverFixture(t, reg)
 	u := s.Register("alice")
-	grant, _ := s.StartBroadcast(u.ID, geo.Location{})
+	grant, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	ctx := context.Background()
 
 	url, err := rc.ResolveEdge(ctx, grant.BroadcastID, geo.Location{})
@@ -213,7 +213,7 @@ func TestResolverCacheQueuesJoinsAndFlushes(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, rc := resolverFixture(t, reg)
 	u := s.Register("alice")
-	grant, _ := s.StartBroadcast(u.ID, geo.Location{})
+	grant, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	ctx := context.Background()
 
 	if _, err := rc.ResolveEdge(ctx, grant.BroadcastID, geo.Location{}); err != nil {

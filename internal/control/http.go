@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -40,17 +41,6 @@ type startReq struct {
 	Allowed []uint64 `json:"allowed,omitempty"`
 }
 
-type grantResp struct {
-	BroadcastID string `json:"broadcast_id"`
-	Token       string `json:"token"`
-	OriginID    string `json:"origin_id"`
-	RTMPAddr    string `json:"rtmp_addr,omitempty"`
-	MessageURL  string `json:"message_url"`
-	Private     bool   `json:"private,omitempty"`
-	RTMPSAddr   string `json:"rtmps_addr,omitempty"`
-	CAPEM       []byte `json:"ca_pem,omitempty"`
-}
-
 type endReq struct {
 	Token string `json:"token"`
 }
@@ -71,45 +61,24 @@ type joinReq struct {
 	Lon    float64 `json:"lon"`
 }
 
-type joinResp struct {
-	Protocol    string `json:"protocol"`
-	RTMPAddr    string `json:"rtmp_addr,omitempty"`
-	HLSBaseURL  string `json:"hls_base_url,omitempty"`
-	MessageURL  string `json:"message_url"`
-	Private     bool   `json:"private,omitempty"`
-	RTMPSAddr   string `json:"rtmps_addr,omitempty"`
-	ViewerToken string `json:"viewer_token,omitempty"`
-	CAPEM       []byte `json:"ca_pem,omitempty"`
-}
-
 type resolveEdgeResp struct {
 	HLSBaseURL string `json:"hls_base_url"`
 }
 
-// Tenancy API payloads. Plans travel as planRec (the same codec the journal
-// uses), so the wire shape and the durable shape cannot drift apart.
+type globalResp struct {
+	Broadcasts []summaryJSON `json:"broadcasts"`
+}
+
+// Tenancy API payloads. Plan carries the same JSON tags in the journal and
+// on the wire, so the durable shape and the wire shape cannot drift apart.
 
 type tenantCreateReq struct {
-	Name string  `json:"name"`
-	Plan planRec `json:"plan"`
+	Name string `json:"name"`
+	Plan Plan   `json:"plan"`
 }
 
-type tenantJSON struct {
-	ID        string    `json:"id"`
-	Name      string    `json:"name,omitempty"`
-	Plan      planRec   `json:"plan"`
-	Suspended bool      `json:"suspended,omitempty"`
-	CreatedAt time.Time `json:"created_at"`
-}
-
-func toTenantJSON(t Tenant) tenantJSON {
-	return tenantJSON{
-		ID:        t.ID,
-		Name:      t.Name,
-		Plan:      planRecOf(t.Plan),
-		Suspended: t.Suspended,
-		CreatedAt: t.CreatedAt,
-	}
+type tenantsResp struct {
+	Tenants []Tenant `json:"tenants"`
 }
 
 type keyIssueResp struct {
@@ -124,15 +93,6 @@ type usageResp struct {
 	TenantID string     `json:"tenant_id"`
 	Days     []UsageDay `json:"days"`
 }
-
-// apiKeyHeader authenticates tenant-owned start/join requests. Presence of
-// the header selects the key-authenticated path.
-const apiKeyHeader = "X-API-Key"
-
-// errCodeHeader disambiguates error statuses for the client: 403 is both
-// "bad broadcast token" and "revoked key / suspended tenant", 401 both "not
-// invited" and "bad API key". The body stays human-readable.
-const errCodeHeader = "X-Control-Error"
 
 type summaryJSON struct {
 	BroadcastID string    `json:"broadcast_id"`
@@ -156,322 +116,114 @@ func toSummaryJSON(s Summary) summaryJSON {
 	}
 }
 
-// Handler exposes the service over HTTP under prefix (e.g. "/api").
-func Handler(prefix string, s *Service) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(prefix+"/users", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req registerReq
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		u, err := s.RegisterUser(req.Name)
-		if respondErr(w, err) {
-			return
-		}
-		writeJSON(w, registerResp{ID: u.ID})
-	})
-	mux.HandleFunc(prefix+"/global", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		if s.Down() {
-			respondErr(w, ErrUnavailable)
-			return
-		}
-		list := s.GlobalList()
-		out := make([]summaryJSON, 0, len(list))
-		for _, b := range list {
-			out = append(out, toSummaryJSON(b))
-		}
-		writeJSON(w, struct {
-			Broadcasts []summaryJSON `json:"broadcasts"`
-		}{out})
-	})
-	mux.HandleFunc(prefix+"/broadcasts", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req startReq
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		loc := geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon}
-		var grant BroadcastGrant
-		var err error
-		switch key := r.Header.Get(apiKeyHeader); {
-		case key != "" && req.Private:
-			// Private broadcasts are invite-keyed per user; tenant-owned
-			// private starts are not a thing yet.
-			http.Error(w, "private broadcasts cannot be key-authenticated", http.StatusBadRequest)
-			return
-		case key != "":
-			grant, err = s.StartBroadcastKey(key, req.UserID, loc)
-		case req.Private:
-			grant, err = s.StartPrivateBroadcast(req.UserID, loc, req.Allowed)
-		default:
-			grant, err = s.StartBroadcast(req.UserID, loc)
-		}
-		if respondErr(w, err) {
-			return
-		}
-		writeJSON(w, grantResp{
-			BroadcastID: grant.BroadcastID,
-			Token:       grant.Token,
-			OriginID:    grant.OriginID,
-			RTMPAddr:    grant.RTMPAddr,
-			MessageURL:  grant.MessageURL,
-			Private:     grant.Private,
-			RTMPSAddr:   grant.RTMPSAddr,
-			CAPEM:       grant.CAPEM,
-		})
-	})
-	mux.HandleFunc(prefix+"/broadcasts/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, prefix+"/broadcasts/")
-		parts := strings.Split(rest, "/")
-		id := parts[0]
-		switch {
-		case len(parts) == 1 && r.Method == http.MethodGet:
-			info, err := s.Info(id)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, toSummaryJSON(info))
-		case len(parts) == 2 && parts[1] == "end" && r.Method == http.MethodPost:
-			var req endReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			if respondErr(w, s.EndBroadcast(id, req.Token)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "join" && r.Method == http.MethodPost:
-			var req joinReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			loc := geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon}
-			var grant ViewerGrant
-			var err error
-			if key := r.Header.Get(apiKeyHeader); key != "" {
-				grant, err = s.JoinKey(key, req.UserID, id, loc)
-			} else {
-				grant, err = s.Join(req.UserID, id, loc)
-			}
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, joinResp{
-				Protocol:    string(grant.Protocol),
-				RTMPAddr:    grant.RTMPAddr,
-				HLSBaseURL:  grant.HLSBaseURL,
-				MessageURL:  grant.MessageURL,
-				Private:     grant.Private,
-				RTMPSAddr:   grant.RTMPSAddr,
-				ViewerToken: grant.ViewerToken,
-				CAPEM:       grant.CAPEM,
-			})
-		case len(parts) == 2 && parts[1] == "pubkey" && r.Method == http.MethodPost:
-			var req pubKeyReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			key, err := hex.DecodeString(req.PubKeyHex)
-			if err != nil || len(key) != ed25519.PublicKeySize {
-				http.Error(w, "bad public key", http.StatusBadRequest)
-				return
-			}
-			if respondErr(w, s.RegisterPublicKey(id, req.Token, key)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "pubkey" && r.Method == http.MethodGet:
-			key := s.PublicKey(id)
-			writeJSON(w, pubKeyResp{PubKeyHex: hex.EncodeToString(key)})
-		case len(parts) == 2 && parts[1] == "edge" && r.Method == http.MethodGet:
-			q := r.URL.Query()
-			loc := geo.Location{City: q.Get("city")}
-			fmt.Sscanf(q.Get("lat"), "%f", &loc.Lat)
-			fmt.Sscanf(q.Get("lon"), "%f", &loc.Lon)
-			url, err := s.ResolveEdge(id, loc)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, resolveEdgeResp{HLSBaseURL: url})
-		default:
-			http.NotFound(w, r)
-		}
-	})
-	mux.HandleFunc(prefix+"/tenants", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			var req tenantCreateReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			t, err := s.CreateTenant(req.Name, req.Plan.plan())
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, toTenantJSON(t))
-		case http.MethodGet:
-			if s.Down() {
-				respondErr(w, ErrUnavailable)
-				return
-			}
-			list := s.Tenants()
-			out := make([]tenantJSON, 0, len(list))
-			for _, t := range list {
-				out = append(out, toTenantJSON(t))
-			}
-			writeJSON(w, struct {
-				Tenants []tenantJSON `json:"tenants"`
-			}{out})
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
-	mux.HandleFunc(prefix+"/tenants/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, prefix+"/tenants/")
-		parts := strings.Split(rest, "/")
-		id := parts[0]
-		switch {
-		case len(parts) == 1 && r.Method == http.MethodGet:
-			t, err := s.TenantInfo(id)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, toTenantJSON(t))
-		case len(parts) == 2 && parts[1] == "plan" && r.Method == http.MethodPost:
-			var req planRec
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			if respondErr(w, s.SetTenantPlan(id, req.plan())) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "keys" && r.Method == http.MethodPost:
-			k, err := s.IssueAPIKey(id)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, keyIssueResp{Key: k.Key})
-		case len(parts) == 2 && parts[1] == "suspend" && r.Method == http.MethodPost:
-			if respondErr(w, s.SuspendTenant(id)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "resume" && r.Method == http.MethodPost:
-			if respondErr(w, s.ResumeTenant(id)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		default:
-			http.NotFound(w, r)
-		}
-	})
-	mux.HandleFunc(prefix+"/keys/revoke", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req keyRevokeReq
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		if respondErr(w, s.RevokeAPIKey(req.Key)) {
-			return
-		}
-		writeJSON(w, struct{}{})
-	})
-	mux.HandleFunc(prefix+"/usage", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		tenantID := r.URL.Query().Get("tenant")
-		if tenantID == "" {
-			http.Error(w, "missing tenant parameter", http.StatusBadRequest)
-			return
-		}
-		days, err := s.Usage(tenantID)
-		if respondErr(w, err) {
-			return
-		}
-		if days == nil {
-			days = []UsageDay{}
-		}
-		writeJSON(w, usageResp{TenantID: tenantID, Days: days})
-	})
-	return mux
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<10))
-	if err != nil || json.Unmarshal(body, v) != nil {
-		http.Error(w, "bad request body", http.StatusBadRequest)
-		return false
+func (b summaryJSON) summary() Summary {
+	return Summary{
+		BroadcastID: b.BroadcastID,
+		Broadcaster: b.Broadcaster,
+		StartedAt:   b.StartedAt,
+		EndedAt:     b.EndedAt,
+		Live:        b.Live,
+		Viewers:     b.Viewers,
+		Location:    geo.Location{City: b.City},
 	}
-	return true
 }
 
-// errCode is the X-Control-Error value for each sentinel; do is the inverse.
+// apiKeyHeader authenticates tenant-owned start/join requests. Presence of
+// the header selects the key-authenticated path.
+const apiKeyHeader = "X-API-Key"
+
+// errCodeHeader disambiguates error statuses for the client: 403 is both
+// "bad broadcast token" and "revoked key / suspended tenant", 401 both "not
+// invited" and "bad API key". The body stays human-readable.
+const errCodeHeader = "X-Control-Error"
+
+// errBadRequest marks malformed input: 400, with no X-Control-Error code.
+var errBadRequest = errors.New("control: bad request")
+
+func badRequest(what string) error { return fmt.Errorf("%w: %s", errBadRequest, what) }
+
+// errKeyedPrivate rejects a start that is both key-owned and private:
+// private broadcasts are invite-keyed per user, not tenant-owned.
+var errKeyedPrivate = badRequest("private broadcasts cannot be key-authenticated")
+
+// errorTable is the one mapping between service errors and the wire: the
+// server answers the first entry the error matches, and the client maps an
+// X-Control-Error code (or, without one, the first entry with the status)
+// back to the sentinel. Order matters for that status fallback: 404 means
+// no_broadcast, 403 bad_token, 401 not_invited.
+var errorTable = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{ErrNoBroadcast, "no_broadcast", http.StatusNotFound},
+	{ErrNoTenant, "no_tenant", http.StatusNotFound},
+	{ErrBadToken, "bad_token", http.StatusForbidden},
+	{ErrKeyRevoked, "key_revoked", http.StatusForbidden},
+	{ErrTenantSuspended, "tenant_suspended", http.StatusForbidden},
+	{ErrNotInvited, "not_invited", http.StatusUnauthorized},
+	{ErrBadAPIKey, "bad_api_key", http.StatusUnauthorized},
+	// Quota and plan-rate rejections carry the server-computed wait in
+	// Retry-After; FailoverPoller rides it via the RetryAfterHint on the
+	// client's reconstructed QuotaError.
+	{ErrQuotaExceeded, "quota", http.StatusTooManyRequests},
+	{ErrEnded, "ended", http.StatusGone},
+	// The crashed control plane's 503 is the degraded-mode trigger: clients
+	// fall back to cached grants and retry with backoff.
+	{ErrUnavailable, "unavailable", http.StatusServiceUnavailable},
+	{errBadRequest, "", http.StatusBadRequest},
+}
+
+// respondErr writes err through errorTable and reports whether it did;
+// errors outside the table are 500s.
 func respondErr(w http.ResponseWriter, err error) bool {
 	if err == nil {
 		return false
 	}
-	var qe *QuotaError
-	switch {
-	case errors.Is(err, ErrNoBroadcast):
-		w.Header().Set(errCodeHeader, "no_broadcast")
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrNoTenant):
-		w.Header().Set(errCodeHeader, "no_tenant")
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrBadToken):
-		w.Header().Set(errCodeHeader, "bad_token")
-		http.Error(w, err.Error(), http.StatusForbidden)
-	case errors.Is(err, ErrKeyRevoked):
-		w.Header().Set(errCodeHeader, "key_revoked")
-		http.Error(w, err.Error(), http.StatusForbidden)
-	case errors.Is(err, ErrTenantSuspended):
-		w.Header().Set(errCodeHeader, "tenant_suspended")
-		http.Error(w, err.Error(), http.StatusForbidden)
-	case errors.Is(err, ErrBadAPIKey):
-		w.Header().Set(errCodeHeader, "bad_api_key")
-		http.Error(w, err.Error(), http.StatusUnauthorized)
-	case errors.Is(err, ErrNotInvited):
-		w.Header().Set(errCodeHeader, "not_invited")
-		http.Error(w, err.Error(), http.StatusUnauthorized)
-	case errors.As(err, &qe):
-		// Quota and plan-rate rejections: 429 with the server-computed wait.
-		// FailoverPoller rides this via the RetryAfterHint on the client's
-		// reconstructed QuotaError.
-		w.Header().Set(errCodeHeader, "quota")
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(qe.RetryAfter)))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, ErrEnded):
-		w.Header().Set(errCodeHeader, "ended")
-		http.Error(w, err.Error(), http.StatusGone)
-	case errors.Is(err, ErrUnavailable):
-		// The crashed control plane's 503 is the degraded-mode trigger:
-		// clients fall back to cached grants and retry with backoff. Auth
-		// fails closed here: key-authenticated calls get the same 503, never
-		// a tenancy answer derived from wiped state.
-		w.Header().Set(errCodeHeader, "unavailable")
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	status := http.StatusInternalServerError
+	for _, e := range errorTable {
+		if errors.Is(err, e.err) {
+			status = e.status
+			if e.code != "" {
+				w.Header().Set(errCodeHeader, e.code)
+			}
+			break
+		}
 	}
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		wait := time.Second
+		var h interface{ RetryAfterHint() time.Duration }
+		if errors.As(err, &h) {
+			wait = h.RetryAfterHint()
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
+	}
+	http.Error(w, err.Error(), status)
 	return true
+}
+
+// errFromResponse reconstructs the service error from a non-200 response
+// through errorTable: the X-Control-Error code when it names an entry, the
+// status otherwise. A quota rejection comes back as a QuotaError carrying
+// the Retry-After wait.
+func errFromResponse(resp *http.Response) error {
+	code := resp.Header.Get(errCodeHeader)
+	for _, byCode := range []bool{true, false} {
+		for _, e := range errorTable {
+			if e.code == "" || (byCode && e.code != code) || (!byCode && e.status != resp.StatusCode) {
+				continue
+			}
+			if e.err != ErrQuotaExceeded {
+				return e.err
+			}
+			retry := time.Second
+			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
+				retry = time.Duration(s) * time.Second
+			}
+			return &QuotaError{Reason: "server quota rejection", RetryAfter: retry}
+		}
+	}
+	return nil
 }
 
 // retryAfterSeconds rounds a wait up to whole seconds (the Retry-After unit),
@@ -484,11 +236,162 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		_ = err // response already started
+// endpoint serves one route: it returns the JSON response or an error for
+// respondErr.
+type endpoint func(r *http.Request) (any, error)
+
+// withBody adapts an endpoint that takes a decoded JSON request body.
+func withBody[Req any](fn func(r *http.Request, req Req) (any, error)) endpoint {
+	return func(r *http.Request) (any, error) {
+		var req Req
+		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<10))
+		if err != nil || json.Unmarshal(body, &req) != nil {
+			return nil, badRequest("bad request body")
+		}
+		return fn(r, req)
 	}
+}
+
+// queryFloat parses an optional float query parameter: absent is 0,
+// unparsable or non-finite is a bad request.
+func queryFloat(q url.Values, name string) (float64, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, badRequest("bad " + name + " parameter")
+	}
+	return f, nil
+}
+
+// Handler exposes the service over HTTP under prefix (e.g. "/api"). Every
+// route goes through one dispatch: a crashed service answers 503
+// unavailable before any route runs, then the endpoint's result is encoded
+// as JSON or its error written through errorTable.
+func Handler(prefix string, s *Service) http.Handler {
+	ok := struct{}{}
+	routes := []struct {
+		pattern string
+		serve   endpoint
+	}{
+		{"POST /users", withBody(func(_ *http.Request, req registerReq) (any, error) {
+			u, err := s.RegisterUser(req.Name)
+			return registerResp{ID: u.ID}, err
+		})},
+		{"GET /global", func(*http.Request) (any, error) {
+			list := s.GlobalList()
+			out := make([]summaryJSON, 0, len(list))
+			for _, b := range list {
+				out = append(out, toSummaryJSON(b))
+			}
+			return globalResp{out}, nil
+		}},
+		{"POST /broadcasts", withBody(func(r *http.Request, req startReq) (any, error) {
+			return s.StartBroadcast(StartRequest{
+				APIKey:   r.Header.Get(apiKeyHeader),
+				UserID:   req.UserID,
+				Location: geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon},
+				Private:  req.Private,
+				Allowed:  req.Allowed,
+			})
+		})},
+		{"GET /broadcasts/{id}", func(r *http.Request) (any, error) {
+			info, err := s.Info(r.PathValue("id"))
+			return toSummaryJSON(info), err
+		}},
+		{"POST /broadcasts/{id}/end", withBody(func(r *http.Request, req endReq) (any, error) {
+			return ok, s.EndBroadcast(r.PathValue("id"), req.Token)
+		})},
+		{"POST /broadcasts/{id}/join", withBody(func(r *http.Request, req joinReq) (any, error) {
+			return s.Join(JoinRequest{
+				APIKey:      r.Header.Get(apiKeyHeader),
+				UserID:      req.UserID,
+				BroadcastID: r.PathValue("id"),
+				Location:    geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon},
+			})
+		})},
+		{"POST /broadcasts/{id}/pubkey", withBody(func(r *http.Request, req pubKeyReq) (any, error) {
+			key, err := hex.DecodeString(req.PubKeyHex)
+			if err != nil || len(key) != ed25519.PublicKeySize {
+				return nil, badRequest("bad public key")
+			}
+			return ok, s.RegisterPublicKey(r.PathValue("id"), req.Token, key)
+		})},
+		{"GET /broadcasts/{id}/pubkey", func(r *http.Request) (any, error) {
+			return pubKeyResp{PubKeyHex: hex.EncodeToString(s.PublicKey(r.PathValue("id")))}, nil
+		}},
+		{"GET /broadcasts/{id}/edge", func(r *http.Request) (any, error) {
+			q := r.URL.Query()
+			lat, err := queryFloat(q, "lat")
+			if err != nil {
+				return nil, err
+			}
+			lon, err := queryFloat(q, "lon")
+			if err != nil {
+				return nil, err
+			}
+			url, err := s.ResolveEdge(r.PathValue("id"), geo.Location{City: q.Get("city"), Lat: lat, Lon: lon})
+			return resolveEdgeResp{HLSBaseURL: url}, err
+		}},
+		{"POST /tenants", withBody(func(_ *http.Request, req tenantCreateReq) (any, error) {
+			return s.CreateTenant(req.Name, req.Plan)
+		})},
+		{"GET /tenants", func(*http.Request) (any, error) {
+			return tenantsResp{s.Tenants()}, nil
+		}},
+		{"GET /tenants/{id}", func(r *http.Request) (any, error) {
+			return s.TenantInfo(r.PathValue("id"))
+		}},
+		{"POST /tenants/{id}/plan", withBody(func(r *http.Request, req Plan) (any, error) {
+			return ok, s.SetTenantPlan(r.PathValue("id"), req)
+		})},
+		{"POST /tenants/{id}/keys", func(r *http.Request) (any, error) {
+			k, err := s.IssueAPIKey(r.PathValue("id"))
+			return keyIssueResp{Key: k.Key}, err
+		}},
+		{"POST /tenants/{id}/suspend", func(r *http.Request) (any, error) {
+			return ok, s.SuspendTenant(r.PathValue("id"))
+		}},
+		{"POST /tenants/{id}/resume", func(r *http.Request) (any, error) {
+			return ok, s.ResumeTenant(r.PathValue("id"))
+		}},
+		{"POST /keys/revoke", withBody(func(_ *http.Request, req keyRevokeReq) (any, error) {
+			return ok, s.RevokeAPIKey(req.Key)
+		})},
+		{"GET /usage", func(r *http.Request) (any, error) {
+			tenantID := r.URL.Query().Get("tenant")
+			if tenantID == "" {
+				return nil, badRequest("missing tenant parameter")
+			}
+			days, err := s.Usage(tenantID)
+			if days == nil {
+				days = []UsageDay{}
+			}
+			return usageResp{TenantID: tenantID, Days: days}, err
+		}},
+	}
+	mux := http.NewServeMux()
+	for _, rt := range routes {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		serve := rt.serve
+		mux.HandleFunc(method+" "+prefix+path, func(w http.ResponseWriter, r *http.Request) {
+			if s.Down() {
+				respondErr(w, ErrUnavailable)
+				return
+			}
+			out, err := serve(r)
+			if respondErr(w, err) {
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if err := json.NewEncoder(w).Encode(out); err != nil {
+				_ = err // response already started
+			}
+		})
+	}
+	return mux
 }
 
 // Client is the app/crawler side of the control API.
@@ -501,51 +404,42 @@ type Client struct {
 	APIKey string
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
+// call sends one API request: in, when non-nil, is the JSON body; out, when
+// non-nil, receives the JSON response. Non-200 answers come back as the
+// service errors through errorTable.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
 	}
-	return http.DefaultClient
-}
-
-func (c *Client) post(ctx context.Context, path string, in, out interface{}) error {
-	body, err := json.Marshal(in)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.APIKey != "" {
-		req.Header.Set(apiKeyHeader, c.APIKey)
-	}
-	return c.do(req, out)
-}
-
-func (c *Client) get(ctx context.Context, path string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	if c.APIKey != "" {
 		req.Header.Set(apiKeyHeader, c.APIKey)
 	}
-	return c.do(req, out)
-}
-
-func (c *Client) do(req *http.Request, out interface{}) error {
-	resp, err := c.http().Do(req)
+	hc := c.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("control: %s %s: %w", req.Method, req.URL.Path, err)
+		return fmt.Errorf("control: %s %s: %w", method, req.URL.Path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		if err := errFromResponse(resp); err != nil {
 			return err
 		}
-		return fmt.Errorf("control: %s %s: status %d", req.Method, req.URL.Path, resp.StatusCode)
+		return fmt.Errorf("control: %s %s: status %d", method, req.URL.Path, resp.StatusCode)
 	}
 	if out == nil {
 		return nil
@@ -553,105 +447,46 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// errFromResponse reconstructs the service error from a non-200 response:
-// the X-Control-Error code when present (it disambiguates statuses that
-// carry two meanings), the historical status mapping otherwise.
-func errFromResponse(resp *http.Response) error {
-	switch resp.Header.Get(errCodeHeader) {
-	case "no_broadcast":
-		return ErrNoBroadcast
-	case "no_tenant":
-		return ErrNoTenant
-	case "bad_token":
-		return ErrBadToken
-	case "key_revoked":
-		return ErrKeyRevoked
-	case "tenant_suspended":
-		return ErrTenantSuspended
-	case "bad_api_key":
-		return ErrBadAPIKey
-	case "not_invited":
-		return ErrNotInvited
-	case "ended":
-		return ErrEnded
-	case "unavailable":
-		return ErrUnavailable
-	case "quota":
-		retry := time.Second
-		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-			retry = time.Duration(s) * time.Second
-		}
-		return &QuotaError{Reason: "server quota rejection", RetryAfter: retry}
-	}
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return ErrNoBroadcast
-	case http.StatusForbidden:
-		return ErrBadToken
-	case http.StatusUnauthorized:
-		return ErrNotInvited
-	case http.StatusGone:
-		return ErrEnded
-	case http.StatusServiceUnavailable:
-		return ErrUnavailable
-	}
-	return nil
-}
-
 // Register creates a user.
 func (c *Client) Register(ctx context.Context, name string) (uint64, error) {
 	var resp registerResp
-	if err := c.post(ctx, "/users", registerReq{Name: name}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.ID, nil
+	err := c.call(ctx, http.MethodPost, "/users", registerReq{Name: name}, &resp)
+	return resp.ID, err
 }
 
 // StartBroadcast opens a public broadcast for user at loc.
 func (c *Client) StartBroadcast(ctx context.Context, userID uint64, loc geo.Location) (BroadcastGrant, error) {
-	return c.startBroadcast(ctx, startReq{UserID: userID, City: loc.City, Lat: loc.Lat, Lon: loc.Lon})
+	var g BroadcastGrant
+	err := c.call(ctx, http.MethodPost, "/broadcasts",
+		startReq{UserID: userID, City: loc.City, Lat: loc.Lat, Lon: loc.Lon}, &g)
+	return g, err
 }
 
 // StartPrivateBroadcast opens an invite-only broadcast over RTMPS.
 func (c *Client) StartPrivateBroadcast(ctx context.Context, userID uint64, loc geo.Location, allowed []uint64) (BroadcastGrant, error) {
-	return c.startBroadcast(ctx, startReq{
+	var g BroadcastGrant
+	err := c.call(ctx, http.MethodPost, "/broadcasts", startReq{
 		UserID: userID, City: loc.City, Lat: loc.Lat, Lon: loc.Lon,
 		Private: true, Allowed: allowed,
-	})
-}
-
-func (c *Client) startBroadcast(ctx context.Context, req startReq) (BroadcastGrant, error) {
-	var resp grantResp
-	if err := c.post(ctx, "/broadcasts", req, &resp); err != nil {
-		return BroadcastGrant{}, err
-	}
-	return BroadcastGrant{
-		BroadcastID: resp.BroadcastID,
-		Token:       resp.Token,
-		OriginID:    resp.OriginID,
-		RTMPAddr:    resp.RTMPAddr,
-		MessageURL:  resp.MessageURL,
-		Private:     resp.Private,
-		RTMPSAddr:   resp.RTMPSAddr,
-		CAPEM:       resp.CAPEM,
-	}, nil
+	}, &g)
+	return g, err
 }
 
 // EndBroadcast finishes a broadcast.
 func (c *Client) EndBroadcast(ctx context.Context, broadcastID, token string) error {
-	return c.post(ctx, "/broadcasts/"+broadcastID+"/end", endReq{Token: token}, nil)
+	return c.call(ctx, http.MethodPost, "/broadcasts/"+broadcastID+"/end", endReq{Token: token}, nil)
 }
 
 // RegisterPublicKey uploads the §7.2 signing key over the secure channel.
 func (c *Client) RegisterPublicKey(ctx context.Context, broadcastID, token string, pub ed25519.PublicKey) error {
-	return c.post(ctx, "/broadcasts/"+broadcastID+"/pubkey",
+	return c.call(ctx, http.MethodPost, "/broadcasts/"+broadcastID+"/pubkey",
 		pubKeyReq{Token: token, PubKeyHex: hex.EncodeToString(pub)}, nil)
 }
 
 // PublicKey fetches a broadcast's signing key; empty means unsigned.
 func (c *Client) PublicKey(ctx context.Context, broadcastID string) (ed25519.PublicKey, error) {
 	var resp pubKeyResp
-	if err := c.get(ctx, "/broadcasts/"+broadcastID+"/pubkey", &resp); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/broadcasts/"+broadcastID+"/pubkey", nil, &resp); err != nil {
 		return nil, err
 	}
 	if resp.PubKeyHex == "" {
@@ -666,22 +501,10 @@ func (c *Client) PublicKey(ctx context.Context, broadcastID string) (ed25519.Pub
 
 // Join requests viewer access to a broadcast.
 func (c *Client) Join(ctx context.Context, userID uint64, broadcastID string, loc geo.Location) (ViewerGrant, error) {
-	var resp joinResp
-	err := c.post(ctx, "/broadcasts/"+broadcastID+"/join",
-		joinReq{UserID: userID, City: loc.City, Lat: loc.Lat, Lon: loc.Lon}, &resp)
-	if err != nil {
-		return ViewerGrant{}, err
-	}
-	return ViewerGrant{
-		Protocol:    Protocol(resp.Protocol),
-		RTMPAddr:    resp.RTMPAddr,
-		HLSBaseURL:  resp.HLSBaseURL,
-		MessageURL:  resp.MessageURL,
-		Private:     resp.Private,
-		RTMPSAddr:   resp.RTMPSAddr,
-		ViewerToken: resp.ViewerToken,
-		CAPEM:       resp.CAPEM,
-	}, nil
+	var g ViewerGrant
+	err := c.call(ctx, http.MethodPost, "/broadcasts/"+broadcastID+"/join",
+		joinReq{UserID: userID, City: loc.City, Lat: loc.Lat, Lon: loc.Lon}, &g)
+	return g, err
 }
 
 // ResolveEdge re-resolves the healthy HLS edge for a broadcast without
@@ -690,96 +513,62 @@ func (c *Client) ResolveEdge(ctx context.Context, broadcastID string, loc geo.Lo
 	var resp resolveEdgeResp
 	path := fmt.Sprintf("/broadcasts/%s/edge?city=%s&lat=%g&lon=%g",
 		broadcastID, url.QueryEscape(loc.City), loc.Lat, loc.Lon)
-	if err := c.get(ctx, path, &resp); err != nil {
-		return "", err
-	}
-	return resp.HLSBaseURL, nil
+	err := c.call(ctx, http.MethodGet, path, nil, &resp)
+	return resp.HLSBaseURL, err
 }
 
 // GlobalList fetches the 50-random live list.
 func (c *Client) GlobalList(ctx context.Context) ([]Summary, error) {
-	var resp struct {
-		Broadcasts []summaryJSON `json:"broadcasts"`
-	}
-	if err := c.get(ctx, "/global", &resp); err != nil {
+	var resp globalResp
+	if err := c.call(ctx, http.MethodGet, "/global", nil, &resp); err != nil {
 		return nil, err
 	}
 	out := make([]Summary, 0, len(resp.Broadcasts))
 	for _, b := range resp.Broadcasts {
-		out = append(out, Summary{
-			BroadcastID: b.BroadcastID,
-			Broadcaster: b.Broadcaster,
-			StartedAt:   b.StartedAt,
-			EndedAt:     b.EndedAt,
-			Live:        b.Live,
-			Viewers:     b.Viewers,
-			Location:    geo.Location{City: b.City},
-		})
+		out = append(out, b.summary())
 	}
 	return out, nil
-}
-
-// CreateTenant registers a tenant (admin surface).
-func (c *Client) CreateTenant(ctx context.Context, name string, plan Plan) (Tenant, error) {
-	var resp tenantJSON
-	if err := c.post(ctx, "/tenants", tenantCreateReq{Name: name, Plan: planRecOf(plan)}, &resp); err != nil {
-		return Tenant{}, err
-	}
-	return Tenant{
-		ID:        resp.ID,
-		Name:      resp.Name,
-		Plan:      resp.Plan.plan(),
-		Suspended: resp.Suspended,
-		CreatedAt: resp.CreatedAt,
-	}, nil
-}
-
-// IssueAPIKey mints a key for the tenant (admin surface).
-func (c *Client) IssueAPIKey(ctx context.Context, tenantID string) (string, error) {
-	var resp keyIssueResp
-	if err := c.post(ctx, "/tenants/"+tenantID+"/keys", struct{}{}, &resp); err != nil {
-		return "", err
-	}
-	return resp.Key, nil
-}
-
-// RevokeAPIKey invalidates a key (admin surface).
-func (c *Client) RevokeAPIKey(ctx context.Context, key string) error {
-	return c.post(ctx, "/keys/revoke", keyRevokeReq{Key: key}, nil)
-}
-
-// SuspendTenant blocks a tenant's key-authenticated calls (admin surface).
-func (c *Client) SuspendTenant(ctx context.Context, tenantID string) error {
-	return c.post(ctx, "/tenants/"+tenantID+"/suspend", struct{}{}, nil)
-}
-
-// ResumeTenant lifts a suspension (admin surface).
-func (c *Client) ResumeTenant(ctx context.Context, tenantID string) error {
-	return c.post(ctx, "/tenants/"+tenantID+"/resume", struct{}{}, nil)
-}
-
-// Usage fetches a tenant's per-day delivery rollups.
-func (c *Client) Usage(ctx context.Context, tenantID string) ([]UsageDay, error) {
-	var resp usageResp
-	if err := c.get(ctx, "/usage?tenant="+url.QueryEscape(tenantID), &resp); err != nil {
-		return nil, err
-	}
-	return resp.Days, nil
 }
 
 // Info fetches one broadcast summary.
 func (c *Client) Info(ctx context.Context, broadcastID string) (Summary, error) {
 	var b summaryJSON
-	if err := c.get(ctx, "/broadcasts/"+broadcastID, &b); err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		BroadcastID: b.BroadcastID,
-		Broadcaster: b.Broadcaster,
-		StartedAt:   b.StartedAt,
-		EndedAt:     b.EndedAt,
-		Live:        b.Live,
-		Viewers:     b.Viewers,
-		Location:    geo.Location{City: b.City},
-	}, nil
+	err := c.call(ctx, http.MethodGet, "/broadcasts/"+broadcastID, nil, &b)
+	return b.summary(), err
+}
+
+// CreateTenant registers a tenant (admin surface).
+func (c *Client) CreateTenant(ctx context.Context, name string, plan Plan) (Tenant, error) {
+	var t Tenant
+	err := c.call(ctx, http.MethodPost, "/tenants", tenantCreateReq{Name: name, Plan: plan}, &t)
+	return t, err
+}
+
+// IssueAPIKey mints a key for the tenant (admin surface).
+func (c *Client) IssueAPIKey(ctx context.Context, tenantID string) (string, error) {
+	var resp keyIssueResp
+	err := c.call(ctx, http.MethodPost, "/tenants/"+tenantID+"/keys", struct{}{}, &resp)
+	return resp.Key, err
+}
+
+// RevokeAPIKey invalidates a key (admin surface).
+func (c *Client) RevokeAPIKey(ctx context.Context, key string) error {
+	return c.call(ctx, http.MethodPost, "/keys/revoke", keyRevokeReq{Key: key}, nil)
+}
+
+// SuspendTenant blocks a tenant's key-authenticated calls (admin surface).
+func (c *Client) SuspendTenant(ctx context.Context, tenantID string) error {
+	return c.call(ctx, http.MethodPost, "/tenants/"+tenantID+"/suspend", struct{}{}, nil)
+}
+
+// ResumeTenant lifts a suspension (admin surface).
+func (c *Client) ResumeTenant(ctx context.Context, tenantID string) error {
+	return c.call(ctx, http.MethodPost, "/tenants/"+tenantID+"/resume", struct{}{}, nil)
+}
+
+// Usage fetches a tenant's per-day delivery rollups.
+func (c *Client) Usage(ctx context.Context, tenantID string) ([]UsageDay, error) {
+	var resp usageResp
+	err := c.call(ctx, http.MethodGet, "/usage?tenant="+url.QueryEscape(tenantID), nil, &resp)
+	return resp.Days, err
 }

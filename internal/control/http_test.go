@@ -2,9 +2,11 @@ package control
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	pathpkg "path"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,7 +34,7 @@ func newHTTPTenantFixture(t *testing.T, clk clock.Clock, plan Plan) (*Service, *
 	t.Cleanup(srv.Close)
 	c := &Client{BaseURL: srv.URL + "/api", APIKey: k.Key}
 	u := s.Register("streamer")
-	grant, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{City: "NYC"})
+	grant, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID, Location: geo.Location{City: "NYC"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,4 +255,185 @@ func TestHTTPKeyAuthUnavailable(t *testing.T) {
 	if _, err := c.Join(context.Background(), 5, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("crashed join via client: err = %v", err)
 	}
+}
+
+// TestHTTPCrashGateFailsClosed: while control is crashed every route answers
+// 503 unavailable — in particular the §7.2 key lookup, which must never
+// answer "no key" (unsigned) from wiped state.
+func TestHTTPCrashGateFailsClosed(t *testing.T) {
+	s := newTestService()
+	srv := httptest.NewServer(Handler("/api", s))
+	defer srv.Close()
+	c := &Client{BaseURL: srv.URL + "/api"}
+	ctx := context.Background()
+	uid, err := c.Register(ctx, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := c.StartBroadcast(ctx, uid, geo.Location{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, _, _ := ed25519.GenerateKey(nil)
+	if err := c.RegisterPublicKey(ctx, grant.BroadcastID, grant.Token, pub); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := c.PublicKey(ctx, grant.BroadcastID); err != nil || len(k) != ed25519.PublicKeySize {
+		t.Fatalf("healthy PublicKey = %d bytes, err %v", len(k), err)
+	}
+
+	s.Crash()
+	if k, err := c.PublicKey(ctx, grant.BroadcastID); !errors.Is(err, ErrUnavailable) || k != nil {
+		t.Fatalf("crashed PublicKey = %d bytes, err %v; want ErrUnavailable", len(k), err)
+	}
+	for _, path := range []string{"/broadcasts/" + grant.BroadcastID + "/pubkey", "/global", "/tenants"} {
+		resp, err := http.Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(errCodeHeader) != "unavailable" {
+			t.Fatalf("GET %s while crashed: status %d, code %q", path, resp.StatusCode, resp.Header.Get(errCodeHeader))
+		}
+	}
+}
+
+// TestHTTPResolveEdgeQueryValidation: lat/lon must parse as finite floats;
+// an absent parameter means 0.
+func TestHTTPResolveEdgeQueryValidation(t *testing.T) {
+	s := newTestService()
+	srv := httptest.NewServer(Handler("/api", s))
+	defer srv.Close()
+	grant, err := s.StartBroadcast(StartRequest{UserID: s.Register("b").ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := srv.URL + "/api/broadcasts/" + grant.BroadcastID + "/edge"
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"?city=NYC&lat=40.7&lon=-74", http.StatusOK},
+		{"", http.StatusOK},
+		{"?lat=-33.9", http.StatusOK},
+		{"?lat=abc&lon=1", http.StatusBadRequest},
+		{"?lat=12abc", http.StatusBadRequest},
+		{"?lat=1&lon=NaN", http.StatusBadRequest},
+		{"?lat=Inf", http.StatusBadRequest},
+		{"?lon=-Inf", http.StatusBadRequest},
+		{"?lat=1e999", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(base + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("edge%s: status %d, want %d", tc.query, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestHTTPWrongMethod405: every route answers a wrong method with the
+// mux's 405 and an Allow header.
+func TestHTTPWrongMethod405(t *testing.T) {
+	h := Handler("/api", newTestService())
+	for _, tc := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/api/users", "POST"},
+		{http.MethodPost, "/api/global", "GET, HEAD"},
+		{http.MethodGet, "/api/broadcasts/bcast-1/end", "POST"},
+		{http.MethodDelete, "/api/tenants", "GET, HEAD, POST"},
+		{http.MethodGet, "/api/keys/revoke", "POST"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != tc.allow {
+			t.Errorf("%s %s: status %d, Allow %q; want 405, %q", tc.method, tc.path, rec.Code, rec.Header().Get("Allow"), tc.allow)
+		}
+	}
+}
+
+// TestErrorTableRoundTrip: every sentinel the server writes comes back from
+// the client as the same sentinel.
+func TestErrorTableRoundTrip(t *testing.T) {
+	for _, e := range errorTable {
+		if e.code == "" {
+			continue
+		}
+		rec := httptest.NewRecorder()
+		respondErr(rec, e.err)
+		if rec.Code != e.status || rec.Header().Get(errCodeHeader) != e.code {
+			t.Fatalf("%v: status %d code %q", e.err, rec.Code, rec.Header().Get(errCodeHeader))
+		}
+		if got := errFromResponse(rec.Result()); !errors.Is(got, e.err) {
+			t.Fatalf("%v round-tripped as %v", e.err, got)
+		}
+	}
+}
+
+// FuzzControlHandler feeds arbitrary method, path, body and X-API-Key to the
+// HTTP surface of a seeded service. The body and key may name the fixture's
+// real credentials as {token} and {key}. The handler must not panic, never
+// answer 500, and every non-2xx must be a 400/404/405 or carry a known
+// X-Control-Error code. The one exception is the mux's path-canonicalizing
+// redirect for unclean paths ("//", "/../").
+func FuzzControlHandler(f *testing.F) {
+	for _, seed := range []struct{ method, path, body, key string }{
+		{"POST", "/users", `{"name":"eve"}`, ""},
+		{"GET", "/global", "", ""},
+		{"POST", "/broadcasts", `{"user_id":1,"city":"NYC","lat":40.7,"lon":-74}`, ""},
+		{"POST", "/broadcasts", `{"user_id":1,"private":true,"allowed":[2,3]}`, ""},
+		{"POST", "/broadcasts", `{"user_id":1}`, "{key}"},
+		{"POST", "/broadcasts", `{"user_id":1,"private":true}`, "{key}"},
+		{"GET", "/broadcasts/bcast-1", "", ""},
+		{"POST", "/broadcasts/bcast-1/join", `{"user_id":9}`, "{key}"},
+		{"POST", "/broadcasts/bcast-1/join", `{"user_id":9}`, "key-forged"},
+		{"POST", "/broadcasts/bcast-2/join", `{"user_id":4}`, ""},
+		{"POST", "/broadcasts/bcast-1/pubkey", `{"token":"{token}","pubkey_hex":"00"}`, ""},
+		{"GET", "/broadcasts/bcast-1/pubkey", "", ""},
+		{"GET", "/broadcasts/bcast-1/edge?lat=1&lon=NaN", "", ""},
+		{"POST", "/broadcasts/bcast-1/end", `{"token":"{token}"}`, ""},
+		{"POST", "/tenants", `{"name":"t","plan":{"max_join_rps":1}}`, ""},
+		{"GET", "/tenants/tnt-1", "", ""},
+		{"POST", "/tenants/tnt-1/plan", `{"max_broadcasts":1}`, ""},
+		{"POST", "/tenants/tnt-1/keys", "", ""},
+		{"POST", "/tenants/tnt-1/suspend", "", ""},
+		{"POST", "/keys/revoke", `{"key":"{key}"}`, ""},
+		{"GET", "/usage?tenant=tnt-1", "", ""},
+		{"DELETE", "/users", "", ""},
+		{"GET", "//users/../global", "", ""},
+	} {
+		f.Add(seed.method, seed.path, seed.body, seed.key)
+	}
+	f.Fuzz(func(t *testing.T, method, path, body, key string) {
+		s := newTenantService(nil, nil)
+		tn, _ := s.CreateTenant("acme", Plan{MaxJoinRPS: 5, MaxConcurrentBroadcasts: 2})
+		k, _ := s.IssueAPIKey(tn.ID)
+		grant, _ := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: s.Register("host").ID})
+		s.StartBroadcast(StartRequest{UserID: 1, Private: true, Allowed: []uint64{2}})
+		body = strings.NewReplacer("{token}", grant.Token, "{key}", k.Key).Replace(body)
+		key = strings.ReplaceAll(key, "{key}", k.Key)
+
+		req, err := http.NewRequest(method, "http://control/api"+path, strings.NewReader(body))
+		if err != nil {
+			return // not a request a client could send
+		}
+		req.Header.Set(apiKeyHeader, key)
+		rec := httptest.NewRecorder()
+		Handler("/api", s).ServeHTTP(rec, req)
+
+		code, ec := rec.Code, rec.Header().Get(errCodeHeader)
+		switch {
+		case code < 300, code == http.StatusBadRequest, code == http.StatusNotFound, code == http.StatusMethodNotAllowed:
+		case code == http.StatusMovedPermanently && req.URL.Path != pathpkg.Clean(req.URL.Path):
+		default:
+			known := false
+			for _, e := range errorTable {
+				known = known || (ec != "" && ec == e.code && code == e.status)
+			}
+			if !known {
+				t.Fatalf("%s %s (key %q, body %q): status %d, X-Control-Error %q", method, path, key, body, code, ec)
+			}
+		}
+	})
 }

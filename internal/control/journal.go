@@ -16,25 +16,94 @@ import (
 
 // This file is the control plane's durability layer (DESIGN.md §6.3): every
 // state transition the service acknowledges — user registration, broadcast
-// start/end, public-key registration, viewer join — is appended to a
-// write-ahead journal, and Crash/Recover replays it so a restarted control
-// plane resumes with live broadcasts, tokens, and edge assignments intact.
-// The framing is internal/journal's CRC-checked record stream; the payloads
-// here are JSON: the control plane is off every hot path, so the codec
-// optimizes for schema evolution over allocation count.
+// start/end, public-key registration, viewer join, and the tenancy records —
+// is appended to a write-ahead journal, and Crash/Recover replays it so a
+// restarted control plane resumes with live broadcasts, tokens, and edge
+// assignments intact. The framing is internal/journal's CRC-checked record
+// stream; the payloads here are JSON: the control plane is off every hot
+// path, so the codec optimizes for schema evolution over allocation count.
 //
-// Replay determinism rests on one invariant: records are enqueued while
-// s.mu is held, so the journal order IS the serialization the mutex imposed
-// on the live mutations. Replaying the log single-threaded therefore
-// reconstructs exactly the state the crashed process acknowledged —
-// including the crypto/rand-minted broadcast and viewer tokens, which could
-// never be re-derived.
+// There is one write path. A mutating method validates its input, builds the
+// typed record, and hands it to its ctrlOp's commitLocked, which journals the
+// record and then applies it. Replay decodes the same record and calls the
+// same apply. Live state and replayed state therefore come from one function
+// per record type, and records are enqueued while s.mu is held, so the
+// journal order IS the serialization the mutex imposed on the live
+// mutations. Replaying the log single-threaded reconstructs exactly the
+// state the crashed process acknowledged — including the crypto/rand-minted
+// broadcast and viewer tokens, which could never be re-derived.
 
-// Journal payload codecs, one per Record*Ctrl* type. BroadcastID travels in
-// the record frame itself.
+// ctrlOp binds one control record type to its payload codec R and to the
+// function that applies it to service state.
+type ctrlOp[R any] struct {
+	typ   journal.RecordType
+	name  string
+	apply func(s *Service, id string, rec R)
+}
+
+// commitLocked journals rec under id and applies it. Called with s.mu held.
+func (op ctrlOp[R]) commitLocked(s *Service, id string, rec R) {
+	s.appendLocked(journal.Record{Type: op.typ, BroadcastID: id, Payload: encodeCtrl(rec)})
+	op.apply(s, id, rec)
+}
+
+// replayLocked decodes one journaled record and applies it. A CRC-valid
+// record with an undecodable payload is a writer bug, not tail damage; it is
+// skipped (logged) rather than aborting recovery.
+func (op ctrlOp[R]) replayLocked(s *Service, r journal.Record) {
+	var rec R
+	if json.Unmarshal(r.Payload, &rec) != nil {
+		s.logf("control: journal %s record %q undecodable", op.name, r.BroadcastID)
+		return
+	}
+	op.apply(s, r.BroadcastID, rec)
+}
+
+// The control record types, each with its one apply function. BroadcastID in
+// the record frame carries the broadcast ID, or the tenant ID / API key for
+// the tenancy records.
+var (
+	opRegister     = ctrlOp[ctrlRegisterRec]{journal.RecordCtrlRegister, "register", (*Service).applyRegister}
+	opStart        = ctrlOp[ctrlStartRec]{journal.RecordCtrlStart, "start", (*Service).applyStart}
+	opEnd          = ctrlOp[ctrlEndRec]{journal.RecordCtrlEnd, "end", (*Service).applyEnd}
+	opPubKey       = ctrlOp[ctrlKeyRec]{journal.RecordCtrlKey, "key", (*Service).applyPubKey}
+	opJoin         = ctrlOp[ctrlJoinRec]{journal.RecordCtrlJoin, "join", (*Service).applyJoin}
+	opTenant       = ctrlOp[ctrlTenantRec]{journal.RecordCtrlTenant, "tenant", (*Service).applyTenant}
+	opTenantPlan   = ctrlOp[ctrlTenantPlanRec]{journal.RecordCtrlTenantPlan, "tenant plan", (*Service).applyTenantPlan}
+	opTenantStatus = ctrlOp[ctrlTenantStatusRec]{journal.RecordCtrlTenantStatus, "tenant status", (*Service).applyTenantStatus}
+	opKeyIssue     = ctrlOp[ctrlKeyIssueRec]{journal.RecordCtrlKeyIssue, "key issue", (*Service).applyKeyIssue}
+	opKeyRevoke    = ctrlOp[ctrlKeyRevokeRec]{journal.RecordCtrlKeyRevoke, "key revoke", (*Service).applyKeyRevoke}
+	opUsage        = ctrlOp[ctrlUsageRec]{journal.RecordCtrlUsage, "usage", (*Service).applyUsage}
+)
+
+// replayers dispatches replay by record type.
+var replayers = map[journal.RecordType]func(*Service, journal.Record){
+	opRegister.typ:     opRegister.replayLocked,
+	opStart.typ:        opStart.replayLocked,
+	opEnd.typ:          opEnd.replayLocked,
+	opPubKey.typ:       opPubKey.replayLocked,
+	opJoin.typ:         opJoin.replayLocked,
+	opTenant.typ:       opTenant.replayLocked,
+	opTenantPlan.typ:   opTenantPlan.replayLocked,
+	opTenantStatus.typ: opTenantStatus.replayLocked,
+	opKeyIssue.typ:     opKeyIssue.replayLocked,
+	opKeyRevoke.typ:    opKeyRevoke.replayLocked,
+	opUsage.typ:        opUsage.replayLocked,
+}
+
 type ctrlRegisterRec struct {
 	ID   uint64 `json:"id"`
 	Name string `json:"name,omitempty"`
+}
+
+func (s *Service) applyRegister(_ string, rec ctrlRegisterRec) {
+	if rec.ID == 0 {
+		return
+	}
+	s.users[rec.ID] = User{ID: rec.ID, Name: rec.Name}
+	if rec.ID > s.nextUser {
+		s.nextUser = rec.ID
+	}
 }
 
 type ctrlStartRec struct {
@@ -52,12 +121,80 @@ type ctrlStartRec struct {
 	TenantID    string   `json:"tenant,omitempty"`
 }
 
+// applyStart creates the broadcast with a pre-closed start gate; the live
+// start path swaps in an open gate before it releases s.mu (see
+// broadcastState.started).
+func (s *Service) applyStart(id string, rec ctrlStartRec) {
+	if _, ok := s.broadcasts[id]; ok {
+		return
+	}
+	st := &broadcastState{
+		id:          id,
+		token:       rec.Token,
+		broadcaster: rec.Broadcaster,
+		originID:    rec.OriginID,
+		rtmpAddr:    rec.RTMPAddr,
+		rtmpsAddr:   rec.RTMPSAddr,
+		startedAt:   time.Unix(0, rec.StartedAt),
+		loc:         geo.Location{City: rec.City, Lat: rec.Lat, Lon: rec.Lon},
+		private:     rec.Private,
+		tenantID:    rec.TenantID,
+		started:     closedStart,
+	}
+	if ts, ok := s.tenants[rec.TenantID]; ok && rec.TenantID != "" {
+		ts.live++
+	}
+	if rec.Private {
+		st.allowed = make(map[uint64]bool, len(rec.Allowed))
+		for _, u := range rec.Allowed {
+			st.allowed[u] = true
+		}
+		st.viewerTokens = make(map[string]bool)
+	}
+	s.broadcasts[id] = st
+	if !rec.Private {
+		// Private broadcasts never appear on the public global list.
+		s.livePos[id] = len(s.liveIDs)
+		s.liveIDs = append(s.liveIDs, id)
+	}
+	if n, ok := seqOf(id, "bcast-"); ok && n > s.nextBcast {
+		s.nextBcast = n
+	}
+}
+
 type ctrlEndRec struct {
 	EndedAt int64 `json:"ended_at"` // unix nanos
 }
 
+func (s *Service) applyEnd(id string, rec ctrlEndRec) {
+	st, ok := s.broadcasts[id]
+	if !ok || st.ended {
+		return
+	}
+	st.ended = true
+	st.endedAt = time.Unix(0, rec.EndedAt)
+	if ts, ok := s.tenants[st.tenantID]; ok && st.tenantID != "" && ts.live > 0 {
+		ts.live--
+	}
+	pos, ok := s.livePos[id]
+	if !ok {
+		return
+	}
+	last := len(s.liveIDs) - 1
+	s.liveIDs[pos] = s.liveIDs[last]
+	s.livePos[s.liveIDs[pos]] = pos
+	s.liveIDs = s.liveIDs[:last]
+	delete(s.livePos, id)
+}
+
 type ctrlKeyRec struct {
 	PubKey []byte `json:"pubkey"`
+}
+
+func (s *Service) applyPubKey(id string, rec ctrlKeyRec) {
+	if st, ok := s.broadcasts[id]; ok {
+		st.pubKey = append(ed25519.PublicKey(nil), rec.PubKey...)
+	}
 }
 
 type ctrlJoinRec struct {
@@ -68,60 +205,62 @@ type ctrlJoinRec struct {
 	ViewerToken string `json:"viewer_token,omitempty"`
 }
 
-// Tenancy codecs (DESIGN.md §11). The tenant ID (or, for key records, the
-// API key) travels in the record frame's BroadcastID field.
-
-// planRec is the journaled form of a Plan.
-type planRec struct {
-	Name          string  `json:"name,omitempty"`
-	MaxBroadcasts int     `json:"max_broadcasts,omitempty"`
-	MaxJoinRPS    float64 `json:"max_join_rps,omitempty"`
-	JoinBurst     float64 `json:"join_burst,omitempty"`
-	DailyBytes    int64   `json:"daily_bytes,omitempty"`
-}
-
-func planRecOf(p Plan) planRec {
-	return planRec{
-		Name:          p.Name,
-		MaxBroadcasts: p.MaxConcurrentBroadcasts,
-		MaxJoinRPS:    p.MaxJoinRPS,
-		JoinBurst:     p.JoinBurst,
-		DailyBytes:    p.DailyBytesQuota,
+func (s *Service) applyJoin(id string, rec ctrlJoinRec) {
+	st, ok := s.broadcasts[id]
+	if !ok || st.ended {
+		return
 	}
-}
-
-func (r planRec) plan() Plan {
-	return Plan{
-		Name:                    r.Name,
-		MaxConcurrentBroadcasts: r.MaxBroadcasts,
-		MaxJoinRPS:              r.MaxJoinRPS,
-		JoinBurst:               r.JoinBurst,
-		DailyBytesQuota:         r.DailyBytes,
+	st.joins = append(st.joins, ViewerJoin{UserID: rec.UserID, At: time.Unix(0, rec.At)})
+	if rec.ViewerToken != "" && st.viewerTokens != nil {
+		st.viewerTokens[rec.ViewerToken] = true
 	}
 }
 
 type ctrlTenantRec struct {
-	Name      string  `json:"name,omitempty"`
-	Plan      planRec `json:"plan"`
-	Suspended bool    `json:"suspended,omitempty"`
-	CreatedAt int64   `json:"created_at"` // unix nanos
+	Name      string `json:"name,omitempty"`
+	Plan      Plan   `json:"plan"`
+	Suspended bool   `json:"suspended,omitempty"`
+	CreatedAt int64  `json:"created_at"` // unix nanos
 }
 
-func tenantRecOf(t Tenant) ctrlTenantRec {
-	return ctrlTenantRec{
-		Name:      t.Name,
-		Plan:      planRecOf(t.Plan),
-		Suspended: t.Suspended,
-		CreatedAt: t.CreatedAt.UnixNano(),
+// applyTenant upserts the tenant row, keeping the live count and rollups
+// accumulated so far.
+func (s *Service) applyTenant(id string, rec ctrlTenantRec) {
+	t := Tenant{
+		ID:        id,
+		Name:      rec.Name,
+		Plan:      rec.Plan,
+		Suspended: rec.Suspended,
+		CreatedAt: time.Unix(0, rec.CreatedAt),
+	}
+	if ts, ok := s.tenants[id]; ok {
+		ts.t = t
+	} else {
+		s.tenants[id] = &tenantState{t: t, usage: make(map[string]UsageDay)}
+	}
+	if n, ok := seqOf(id, "tnt-"); ok && n > s.nextTenant {
+		s.nextTenant = n
 	}
 }
 
 type ctrlTenantPlanRec struct {
-	Plan planRec `json:"plan"`
+	Plan Plan `json:"plan"`
+}
+
+func (s *Service) applyTenantPlan(id string, rec ctrlTenantPlanRec) {
+	if ts, ok := s.tenants[id]; ok {
+		ts.t.Plan = rec.Plan
+	}
 }
 
 type ctrlTenantStatusRec struct {
 	Suspended bool `json:"suspended"`
+}
+
+func (s *Service) applyTenantStatus(id string, rec ctrlTenantStatusRec) {
+	if ts, ok := s.tenants[id]; ok {
+		ts.t.Suspended = rec.Suspended
+	}
 }
 
 type ctrlKeyIssueRec struct {
@@ -129,7 +268,20 @@ type ctrlKeyIssueRec struct {
 	IssuedAt int64  `json:"issued_at"` // unix nanos
 }
 
+func (s *Service) applyKeyIssue(key string, rec ctrlKeyIssueRec) {
+	if rec.Tenant == "" {
+		return
+	}
+	s.keys[key] = &APIKey{Key: key, TenantID: rec.Tenant, IssuedAt: time.Unix(0, rec.IssuedAt)}
+}
+
 type ctrlKeyRevokeRec struct{}
+
+func (s *Service) applyKeyRevoke(key string, _ ctrlKeyRevokeRec) {
+	if k, ok := s.keys[key]; ok {
+		k.Revoked = true
+	}
+}
 
 // ctrlUsageRec carries ABSOLUTE cumulative day totals (see
 // journal.RecordCtrlUsage): replay assigns, so a torn tail can lose the
@@ -141,11 +293,34 @@ type ctrlUsageRec struct {
 	Bytes  int64  `json:"bytes"`
 }
 
+// applyUsage ASSIGNS the absolute totals — never adds. Later records for the
+// same day simply carry larger totals, so replaying any prefix of the journal
+// (a torn tail) yields exact counts as of the last durable flush.
+func (s *Service) applyUsage(tenantID string, rec ctrlUsageRec) {
+	ts, ok := s.tenants[tenantID]
+	if !ok || rec.Day == "" {
+		return
+	}
+	ts.usage[rec.Day] = UsageDay(rec)
+}
+
 // encodeCtrl marshals a payload codec. The codecs are plain structs of
 // scalars and slices; json.Marshal cannot fail on them.
 func encodeCtrl(v interface{}) []byte {
 	b, _ := json.Marshal(v)
 	return b
+}
+
+func seqOf(id, prefix string) (uint64, bool) {
+	rest, ok := strings.CutPrefix(id, prefix)
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(rest, 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }
 
 // ctrlMetrics instrument the durability layer: recovery latency plus the
@@ -216,12 +391,16 @@ func (s *Service) openJournalLocked() {
 		s.logf("control: journal load: %v", err)
 		data = nil
 	}
-	st, err := journal.Replay(data, s.applyRecordLocked)
-	if err != nil {
-		// applyRecordLocked never fails; a non-nil error would mean the
-		// journal package broke its own contract.
-		s.logf("control: journal replay: %v", err)
-	}
+	st, _ := journal.Replay(data, func(r journal.Record) error {
+		if replay, ok := replayers[r.Type]; ok {
+			replay(s, r)
+		} else {
+			// Unknown record types are skipped, not fatal: a journal written
+			// by a newer binary must not brick an older one's recovery.
+			s.logf("control: journal record type %d unknown", r.Type)
+		}
+		return nil
+	})
 	if st.TailCorrupt {
 		// Discard the damaged tail before appending anything new: bytes
 		// written after a corrupt region would be unreachable to every
@@ -241,228 +420,21 @@ func (s *Service) openJournalLocked() {
 	})
 }
 
-// bcastSeq extracts N from a "bcast-N" broadcast ID; replay uses it to
-// restore the sequential-ID counter past every journaled broadcast.
-func bcastSeq(id string) (uint64, bool) { return seqOf(id, "bcast-") }
-
-// tntSeq does the same for "tnt-N" tenant IDs.
-func tntSeq(id string) (uint64, bool) { return seqOf(id, "tnt-") }
-
-func seqOf(id, prefix string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(id, prefix)
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// applyRecordLocked rehydrates one journal record. A CRC-valid record with
-// an undecodable payload is a writer bug, not tail damage; it is skipped
-// (logged) rather than aborting recovery.
-func (s *Service) applyRecordLocked(r journal.Record) error {
-	switch r.Type {
-	case journal.RecordCtrlRegister:
-		var rec ctrlRegisterRec
-		if json.Unmarshal(r.Payload, &rec) != nil || rec.ID == 0 {
-			s.logf("control: journal register record undecodable")
-			return nil
-		}
-		s.users[rec.ID] = User{ID: rec.ID, Name: rec.Name}
-		if rec.ID > s.nextUser {
-			s.nextUser = rec.ID
-		}
-	case journal.RecordCtrlStart:
-		var rec ctrlStartRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal start record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		id := r.BroadcastID
-		if _, ok := s.broadcasts[id]; ok {
-			return nil
-		}
-		st := &broadcastState{
-			id:          id,
-			token:       rec.Token,
-			broadcaster: rec.Broadcaster,
-			originID:    rec.OriginID,
-			rtmpAddr:    rec.RTMPAddr,
-			rtmpsAddr:   rec.RTMPSAddr,
-			startedAt:   time.Unix(0, rec.StartedAt),
-			loc:         geo.Location{City: rec.City, Lat: rec.Lat, Lon: rec.Lon},
-			private:     rec.Private,
-			tenantID:    rec.TenantID,
-			started:     closedStart,
-		}
-		if rec.TenantID != "" {
-			// The owning tenant's record always precedes the start in the
-			// journal (both were appended under s.mu); a missing row means a
-			// tenant record was skipped as undecodable — count live anyway so
-			// a later tenant upsert sees consistent admission state.
-			if ts, ok := s.tenants[rec.TenantID]; ok {
-				ts.live++
-			}
-		}
-		if rec.Private {
-			st.allowed = make(map[uint64]bool, len(rec.Allowed))
-			for _, u := range rec.Allowed {
-				st.allowed[u] = true
-			}
-			st.viewerTokens = make(map[string]bool)
-		}
-		s.broadcasts[id] = st
-		if !rec.Private {
-			s.livePos[id] = len(s.liveIDs)
-			s.liveIDs = append(s.liveIDs, id)
-		}
-		if n, ok := bcastSeq(id); ok && n > s.nextBcast {
-			s.nextBcast = n
-		}
-	case journal.RecordCtrlEnd:
-		st, ok := s.broadcasts[r.BroadcastID]
-		if !ok || st.ended {
-			return nil
-		}
-		var rec ctrlEndRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal end record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		st.ended = true
-		st.endedAt = time.Unix(0, rec.EndedAt)
-		if st.tenantID != "" {
-			if ts, tok := s.tenants[st.tenantID]; tok && ts.live > 0 {
-				ts.live--
-			}
-		}
-		s.removeLiveLocked(r.BroadcastID)
-	case journal.RecordCtrlKey:
-		st, ok := s.broadcasts[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlKeyRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal key record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		st.pubKey = append(ed25519.PublicKey(nil), rec.PubKey...)
-	case journal.RecordCtrlJoin:
-		st, ok := s.broadcasts[r.BroadcastID]
-		if !ok || st.ended {
-			return nil
-		}
-		var rec ctrlJoinRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal join record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		st.joins = append(st.joins, ViewerJoin{UserID: rec.UserID, At: time.Unix(0, rec.At)})
-		if rec.ViewerToken != "" && st.viewerTokens != nil {
-			st.viewerTokens[rec.ViewerToken] = true
-		}
-	case journal.RecordCtrlTenant:
-		var rec ctrlTenantRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal tenant record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		id := r.BroadcastID
-		t := Tenant{
-			ID:        id,
-			Name:      rec.Name,
-			Plan:      rec.Plan.plan(),
-			Suspended: rec.Suspended,
-			CreatedAt: time.Unix(0, rec.CreatedAt),
-		}
-		if ts, ok := s.tenants[id]; ok {
-			// Upsert: keep live count and rollups accumulated so far.
-			ts.t = t
-		} else {
-			s.tenants[id] = &tenantState{t: t, usage: make(map[string]UsageDay)}
-		}
-		if n, ok := tntSeq(id); ok && n > s.nextTenant {
-			s.nextTenant = n
-		}
-	case journal.RecordCtrlTenantPlan:
-		ts, ok := s.tenants[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlTenantPlanRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal tenant plan record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		ts.t.Plan = rec.Plan.plan()
-	case journal.RecordCtrlTenantStatus:
-		ts, ok := s.tenants[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlTenantStatusRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal tenant status record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		ts.t.Suspended = rec.Suspended
-	case journal.RecordCtrlKeyIssue:
-		var rec ctrlKeyIssueRec
-		if json.Unmarshal(r.Payload, &rec) != nil || rec.Tenant == "" {
-			s.logf("control: journal key issue record undecodable")
-			return nil
-		}
-		s.keys[r.BroadcastID] = &APIKey{
-			Key:      r.BroadcastID,
-			TenantID: rec.Tenant,
-			IssuedAt: time.Unix(0, rec.IssuedAt),
-		}
-	case journal.RecordCtrlKeyRevoke:
-		if k, ok := s.keys[r.BroadcastID]; ok {
-			k.Revoked = true
-		}
-	case journal.RecordCtrlUsage:
-		ts, ok := s.tenants[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlUsageRec
-		if json.Unmarshal(r.Payload, &rec) != nil || rec.Day == "" {
-			s.logf("control: journal usage record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		// ASSIGN the absolute totals — never add. Later records for the same
-		// day simply carry larger totals, so replaying any prefix of the
-		// journal (a torn tail) yields exact counts as of the last durable
-		// flush, with no double-counting.
-		ts.usage[rec.Day] = UsageDay{
-			Day:    rec.Day,
-			Frames: rec.Frames,
-			Chunks: rec.Chunks,
-			Bytes:  rec.Bytes,
-		}
-	default:
-		// Unknown record types are skipped, not fatal: a journal written by
-		// a newer binary must not brick an older one's recovery.
-		s.logf("control: journal record type %d unknown", r.Type)
-	}
-	return nil
-}
-
 // Crash kills the control plane in place: the journal writer drains
 // (everything acknowledged before the crash is durable) and all volatile
 // state is dropped. The Service object itself survives, answering
 // ErrUnavailable (503 over HTTP) until Recover. Registered OnStart/OnEnd
 // callbacks survive too — they are process wiring, not state.
 func (s *Service) Crash() {
-	if !s.crashed.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	if s.crashed.Load() {
+		s.mu.Unlock()
 		return
 	}
-	s.mu.Lock()
+	// Flipped under s.mu, where every mutation checks it: a mutation either
+	// commits before this point, onto the writer that Close drains below,
+	// or answers ErrUnavailable — never acknowledged and unjournaled.
+	s.crashed.Store(true)
 	jw := s.jw
 	s.jw = nil
 	s.mu.Unlock()

@@ -53,11 +53,11 @@ func TestControlCrashRecover(t *testing.T) {
 
 	alice := s.Register("alice")
 	bob := s.Register("bob")
-	grant, err := s.StartBroadcast(alice.ID, geo.Location{City: "NYC"})
+	grant, err := s.StartBroadcast(StartRequest{UserID: alice.ID, Location: geo.Location{City: "NYC"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	endedGrant, err := s.StartBroadcast(bob.ID, geo.Location{City: "SF"})
+	endedGrant, err := s.StartBroadcast(StartRequest{UserID: bob.ID, Location: geo.Location{City: "SF"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestControlCrashRecover(t *testing.T) {
 	if err := s.RegisterPublicKey(grant.BroadcastID, grant.Token, pub); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Join(bob.ID, grant.BroadcastID, geo.Location{}); err != nil {
+	if _, err := s.Join(JoinRequest{UserID: bob.ID, BroadcastID: grant.BroadcastID}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EndBroadcast(endedGrant.BroadcastID, endedGrant.Token); err != nil {
@@ -79,10 +79,10 @@ func TestControlCrashRecover(t *testing.T) {
 	if !s.Down() {
 		t.Fatal("Down() = false after Crash")
 	}
-	if _, err := s.StartBroadcast(alice.ID, geo.Location{}); !errors.Is(err, ErrUnavailable) {
+	if _, err := s.StartBroadcast(StartRequest{UserID: alice.ID}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("StartBroadcast while crashed: err = %v, want ErrUnavailable", err)
 	}
-	if _, err := s.Join(bob.ID, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrUnavailable) {
+	if _, err := s.Join(JoinRequest{UserID: bob.ID, BroadcastID: grant.BroadcastID}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Join while crashed: err = %v, want ErrUnavailable", err)
 	}
 	if err := s.ForceEnd(grant.BroadcastID); !errors.Is(err, ErrUnavailable) {
@@ -135,7 +135,7 @@ func TestControlCrashRecover(t *testing.T) {
 	if err := s.EndBroadcast(grant.BroadcastID, grant.Token); err != nil {
 		t.Fatalf("end with recovered token: %v", err)
 	}
-	if _, err := s.StartBroadcast(alice.ID, geo.Location{}); err != nil {
+	if _, err := s.StartBroadcast(StartRequest{UserID: alice.ID}); err != nil {
 		t.Fatalf("start after recovery: %v", err)
 	}
 
@@ -156,7 +156,7 @@ func TestControlRestartIsNewServiceOverBackend(t *testing.T) {
 	backend := journal.NewMem()
 	s := newJournaledService(backend, nil)
 	u := s.Register("alice")
-	grant, err := s.StartBroadcast(u.ID, geo.Location{City: "NYC"})
+	grant, err := s.StartBroadcast(StartRequest{UserID: u.ID, Location: geo.Location{City: "NYC"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestControlRestartIsNewServiceOverBackend(t *testing.T) {
 	}
 	// The broadcast-ID counter must resume past journaled IDs: a fresh
 	// start must not collide with the recovered broadcast.
-	g2, err := s2.StartBroadcast(u.ID, geo.Location{})
+	g2, err := s2.StartBroadcast(StartRequest{UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestControlRecoverTruncatesTornTail(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := newJournaledService(backend, reg)
 	u := s.Register("alice")
-	grant, err := s.StartBroadcast(u.ID, geo.Location{})
+	grant, err := s.StartBroadcast(StartRequest{UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Join(77, grant.BroadcastID, geo.Location{}); err != nil {
+	if _, err := s.Join(JoinRequest{UserID: 77, BroadcastID: grant.BroadcastID}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -217,7 +217,7 @@ func TestControlRecoverTruncatesTornTail(t *testing.T) {
 	}
 
 	// Appends after the truncation must be reachable to the next replay.
-	if _, err := s.Join(88, grant.BroadcastID, geo.Location{}); err != nil {
+	if _, err := s.Join(JoinRequest{UserID: 88, BroadcastID: grant.BroadcastID}); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
@@ -235,11 +235,11 @@ func TestControlPrivateBroadcastRecovery(t *testing.T) {
 	s := newJournaledService(backend, nil)
 	host := s.Register("host")
 	guest := s.Register("guest")
-	grant, err := s.StartPrivateBroadcast(host.ID, geo.Location{}, []uint64{guest.ID})
+	grant, err := s.StartBroadcast(StartRequest{UserID: host.ID, Private: true, Allowed: []uint64{guest.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vg, err := s.Join(guest.ID, grant.BroadcastID, geo.Location{})
+	vg, err := s.Join(JoinRequest{UserID: guest.ID, BroadcastID: grant.BroadcastID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestControlPrivateBroadcastRecovery(t *testing.T) {
 		t.Fatal("forged viewer token accepted after recovery")
 	}
 	// The allow-list survived too: an uninvited user still cannot join.
-	if _, err := s.Join(999, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrNotInvited) {
+	if _, err := s.Join(JoinRequest{UserID: 999, BroadcastID: grant.BroadcastID}); !errors.Is(err, ErrNotInvited) {
 		t.Fatalf("uninvited join after recovery: err = %v", err)
 	}
 }
@@ -275,7 +275,7 @@ func TestTenantUsageTornTailNoDoubleCount(t *testing.T) {
 	}
 	k, _ := s.IssueAPIKey(tn.ID)
 	u := s.Register("alice")
-	grant, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{})
+	grant, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +342,10 @@ func TestTenantReplayOrdering(t *testing.T) {
 		t.Fatalf("replayed tenant = %+v, err %v", got, err)
 	}
 	u := s2.Register("alice")
-	if _, err := s2.StartBroadcastKey(k1.Key, u.ID, geo.Location{}); !errors.Is(err, ErrKeyRevoked) {
+	if _, err := s2.StartBroadcast(StartRequest{APIKey: k1.Key, UserID: u.ID}); !errors.Is(err, ErrKeyRevoked) {
 		t.Fatalf("revoked key after replay: err = %v", err)
 	}
-	if _, err := s2.StartBroadcastKey(k2.Key, u.ID, geo.Location{}); err != nil {
+	if _, err := s2.StartBroadcast(StartRequest{APIKey: k2.Key, UserID: u.ID}); err != nil {
 		t.Fatalf("live key after replay: %v", err)
 	}
 }
@@ -361,13 +361,13 @@ func FuzzControlJournalRecovery(f *testing.F) {
 		backend := journal.NewMem()
 		s := newJournaledService(backend, nil)
 		u := s.Register("alice")
-		grant, _ := s.StartBroadcast(u.ID, geo.Location{City: "NYC"})
-		s.Join(u.ID, grant.BroadcastID, geo.Location{})
+		grant, _ := s.StartBroadcast(StartRequest{UserID: u.ID, Location: geo.Location{City: "NYC"}})
+		s.Join(JoinRequest{UserID: u.ID, BroadcastID: grant.BroadcastID})
 		s.EndBroadcast(grant.BroadcastID, grant.Token)
 		tn, _ := s.CreateTenant("acme", Plan{Name: "pro", MaxJoinRPS: 10, DailyBytesQuota: 1 << 20})
 		s.SetTenantPlan(tn.ID, Plan{Name: "pro2", MaxConcurrentBroadcasts: 2})
 		key, _ := s.IssueAPIKey(tn.ID)
-		g2, _ := s.StartBroadcastKey(key.Key, u.ID, geo.Location{})
+		g2, _ := s.StartBroadcast(StartRequest{APIKey: key.Key, UserID: u.ID})
 		if m := s.Meter(g2.BroadcastID); m != nil {
 			m.MeterFrames(5, 500)
 		}
@@ -390,12 +390,13 @@ func FuzzControlJournalRecovery(f *testing.F) {
 		backend.Append(data)
 		s := newJournaledService(backend, nil)
 		u := s.Register("fuzz")
-		grant, err := s.StartBroadcast(u.ID, geo.Location{})
+		grant, err := s.StartBroadcast(StartRequest{UserID: u.ID})
 		if err != nil {
 			t.Fatalf("start on recovered service: %v", err)
 		}
 		s.Crash()
 		s2 := newJournaledService(backend, nil)
+		defer s2.Close() // a leaked writer per input starves a long fuzz run
 		if !(Auth{S: s2}).Authorize(grant.BroadcastID, grant.Token, "publisher") {
 			t.Fatal("broadcast journaled after torn-tail truncation did not survive restart")
 		}

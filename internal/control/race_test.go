@@ -52,7 +52,7 @@ func TestJoinVsEndHammer(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			grant, err := s.StartBroadcast(u.ID, geo.Location{})
+			grant, err := s.StartBroadcast(StartRequest{UserID: u.ID})
 			if err != nil {
 				t.Errorf("start %d: %v", b, err)
 				return
@@ -63,7 +63,7 @@ func TestJoinVsEndHammer(t *testing.T) {
 				go func(j int) {
 					defer inner.Done()
 					for k := 0; k < 8; k++ {
-						_, err := s.Join(uint64(1000+j), grant.BroadcastID, geo.Location{})
+						_, err := s.Join(JoinRequest{UserID: uint64(1000 + j), BroadcastID: grant.BroadcastID})
 						switch {
 						case err == nil:
 							joinsOK.Add(1)
@@ -125,7 +125,7 @@ func TestEndDuringCrashThenRecoveryHammer(t *testing.T) {
 	const n = 32
 	grants := make([]BroadcastGrant, n)
 	for i := range grants {
-		g, err := s.StartBroadcast(u.ID, geo.Location{})
+		g, err := s.StartBroadcast(StartRequest{UserID: u.ID})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 // core: a bucket map over arbitrary string keys where every Allow call
 // carries its own rate and burst, so one instance serves both fixed-rate
 // per-client limiting (RateLimiter below) and plan-derived per-tenant join
-// limiting (Service.JoinKey) with one sweep.
+// limiting (keyed Service.Join) with one sweep.
 
 // KeyedLimiter is a clock-injected token-bucket map. Rates arrive per call
 // rather than per limiter, which is what lets tenant plans differ without a
@@ -132,7 +132,8 @@ func (rl *RateLimiter) Allow(client string) bool {
 	return rl.keyed.Allow(client, rl.cfg.RequestsPerSecond, rl.cfg.Burst)
 }
 
-// Wrap applies the limiter to a handler, answering 429 when exhausted.
+// Wrap applies the limiter to a handler. An exhausted client gets the
+// control API's typed 429: X-Control-Error quota and Retry-After 1.
 func (rl *RateLimiter) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -140,8 +141,7 @@ func (rl *RateLimiter) Wrap(next http.Handler) http.Handler {
 			host = r.RemoteAddr
 		}
 		if !rl.Allow(host) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+			respondErr(w, &QuotaError{Reason: "API request rate above client limit", RetryAfter: time.Second})
 			return
 		}
 		next.ServeHTTP(w, r)

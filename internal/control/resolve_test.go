@@ -14,7 +14,7 @@ import (
 func TestResolveEdgeDoesNotRecordJoin(t *testing.T) {
 	s := newTestService()
 	u := s.Register("b")
-	g, err := s.StartBroadcast(u.ID, geo.Location{City: "NYC"})
+	g, err := s.StartBroadcast(StartRequest{UserID: u.ID, Location: geo.Location{City: "NYC"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +34,13 @@ func TestResolveEdgeDoesNotRecordJoin(t *testing.T) {
 func TestResolveEdgeWorksAfterBroadcastEnds(t *testing.T) {
 	s := newTestService()
 	u := s.Register("b")
-	g, _ := s.StartBroadcast(u.ID, geo.Location{})
+	g, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	if err := s.EndBroadcast(g.BroadcastID, g.Token); err != nil {
 		t.Fatal(err)
 	}
 	// Join refuses ended broadcasts, but a viewer mid-replay must still be
 	// able to re-resolve its edge.
-	if _, err := s.Join(1, g.BroadcastID, geo.Location{}); !errors.Is(err, ErrEnded) {
+	if _, err := s.Join(JoinRequest{UserID: 1, BroadcastID: g.BroadcastID}); !errors.Is(err, ErrEnded) {
 		t.Fatalf("Join after end = %v, want ErrEnded", err)
 	}
 	if url, err := s.ResolveEdge(g.BroadcastID, geo.Location{}); err != nil || url == "" {
@@ -69,7 +69,7 @@ func TestResolveEdgeHTTPRoundTrip(t *testing.T) {
 	ctx := context.Background()
 
 	u := s.Register("b")
-	g, _ := s.StartBroadcast(u.ID, geo.Location{})
+	g, _ := s.StartBroadcast(StartRequest{UserID: u.ID})
 	url, err := client.ResolveEdge(ctx, g.BroadcastID, geo.Location{City: "São Paulo", Lat: -23.55, Lon: -46.63})
 	if err != nil || url != "http://edge-2/hls" {
 		t.Fatalf("ResolveEdge = %q, %v", url, err)

@@ -6,9 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/geo"
-	"repro/internal/journal"
 )
 
 // Tenancy layer (DESIGN.md §11): the control plane's answer to "who owns
@@ -49,19 +46,20 @@ func (e *QuotaError) Is(target error) bool { return target == ErrQuotaExceeded }
 func (e *QuotaError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // Plan is a tenant's service level. Zero values mean unlimited — the
-// implicit plan of the pre-tenancy platform.
+// implicit plan of the pre-tenancy platform. The JSON tags are both the
+// journal's and the control API's encoding.
 type Plan struct {
 	// Name labels the plan ("free", "pro"); informational.
-	Name string
+	Name string `json:"name,omitempty"`
 	// MaxConcurrentBroadcasts caps simultaneously live broadcasts.
-	MaxConcurrentBroadcasts int
+	MaxConcurrentBroadcasts int `json:"max_broadcasts,omitempty"`
 	// MaxJoinRPS is the sustained key-authenticated join rate; JoinBurst
 	// is the bucket depth (zero means 2×MaxJoinRPS, floor 1).
-	MaxJoinRPS float64
-	JoinBurst  float64
+	MaxJoinRPS float64 `json:"max_join_rps,omitempty"`
+	JoinBurst  float64 `json:"join_burst,omitempty"`
 	// DailyBytesQuota caps delivered bytes (RTMP fan-out + HLS chunks) per
 	// UTC day; admission answers 429 once the rollups cross it.
-	DailyBytesQuota int64
+	DailyBytesQuota int64 `json:"daily_bytes,omitempty"`
 }
 
 // joinBurst resolves the effective bucket depth for a plan.
@@ -76,13 +74,14 @@ func joinBurst(p Plan) float64 {
 	return b
 }
 
-// Tenant is one metered customer of the platform.
+// Tenant is one metered customer of the platform. The JSON tags are the
+// control API's wire format.
 type Tenant struct {
-	ID        string
-	Name      string
-	Plan      Plan
-	Suspended bool
-	CreatedAt time.Time
+	ID        string    `json:"id"`
+	Name      string    `json:"name,omitempty"`
+	Plan      Plan      `json:"plan"`
+	Suspended bool      `json:"suspended,omitempty"`
+	CreatedAt time.Time `json:"created_at"`
 }
 
 // APIKey authenticates requests to a tenant. Keys are minted with the same
@@ -157,25 +156,18 @@ func (m *TenantMeter) Totals() (frames, chunks, bytes int64) {
 // CreateTenant registers a tenant with sequential "tnt-N" IDs and journals
 // the row.
 func (s *Service) CreateTenant(name string, plan Plan) (Tenant, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.crashed.Load() {
 		return Tenant{}, ErrUnavailable
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextTenant++
-	t := Tenant{
-		ID:        fmt.Sprintf("tnt-%d", s.nextTenant),
+	id := fmt.Sprintf("tnt-%d", s.nextTenant+1)
+	opTenant.commitLocked(s, id, ctrlTenantRec{
 		Name:      name,
 		Plan:      plan,
-		CreatedAt: s.clock.Now(),
-	}
-	s.tenants[t.ID] = &tenantState{t: t, usage: make(map[string]UsageDay)}
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlTenant,
-		BroadcastID: t.ID,
-		Payload:     encodeCtrl(tenantRecOf(t)),
+		CreatedAt: s.clock.Now().UnixNano(),
 	})
-	return t, nil
+	return s.tenants[id].t, nil
 }
 
 // TenantInfo returns one tenant row.
@@ -206,47 +198,31 @@ func (s *Service) Tenants() []Tenant {
 
 // SetTenantPlan replaces a tenant's plan and journals the change.
 func (s *Service) SetTenantPlan(id string, plan Plan) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[id]
-	if !ok {
-		return ErrNoTenant
-	}
-	ts.t.Plan = plan
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlTenantPlan,
-		BroadcastID: id,
-		Payload:     encodeCtrl(ctrlTenantPlanRec{Plan: planRecOf(plan)}),
-	})
-	return nil
+	return s.updateTenant(id, func() { opTenantPlan.commitLocked(s, id, ctrlTenantPlanRec{Plan: plan}) })
 }
 
 // SuspendTenant blocks every key-authenticated call for the tenant (403)
 // until ResumeTenant.
-func (s *Service) SuspendTenant(id string) error { return s.setSuspended(id, true) }
+func (s *Service) SuspendTenant(id string) error {
+	return s.updateTenant(id, func() { opTenantStatus.commitLocked(s, id, ctrlTenantStatusRec{Suspended: true}) })
+}
 
 // ResumeTenant lifts a suspension.
-func (s *Service) ResumeTenant(id string) error { return s.setSuspended(id, false) }
+func (s *Service) ResumeTenant(id string) error {
+	return s.updateTenant(id, func() { opTenantStatus.commitLocked(s, id, ctrlTenantStatusRec{Suspended: false}) })
+}
 
-func (s *Service) setSuspended(id string, suspended bool) error {
+// updateTenant runs commit under s.mu once the tenant is known to exist.
+func (s *Service) updateTenant(id string, commit func()) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.crashed.Load() {
 		return ErrUnavailable
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[id]
-	if !ok {
+	if _, ok := s.tenants[id]; !ok {
 		return ErrNoTenant
 	}
-	ts.t.Suspended = suspended
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlTenantStatus,
-		BroadcastID: id,
-		Payload:     encodeCtrl(ctrlTenantStatusRec{Suspended: suspended}),
-	})
+	commit()
 	return nil
 }
 
@@ -259,38 +235,30 @@ func (s *Service) IssueAPIKey(tenantID string) (APIKey, error) {
 	if err != nil {
 		return APIKey{}, err
 	}
+	key := "key-" + secret
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.crashed.Load() {
+		return APIKey{}, ErrUnavailable
+	}
 	if _, ok := s.tenants[tenantID]; !ok {
 		return APIKey{}, ErrNoTenant
 	}
-	k := APIKey{Key: "key-" + secret, TenantID: tenantID, IssuedAt: s.clock.Now()}
-	s.keys[k.Key] = &k
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlKeyIssue,
-		BroadcastID: k.Key,
-		Payload:     encodeCtrl(ctrlKeyIssueRec{Tenant: tenantID, IssuedAt: k.IssuedAt.UnixNano()}),
-	})
-	return k, nil
+	opKeyIssue.commitLocked(s, key, ctrlKeyIssueRec{Tenant: tenantID, IssuedAt: s.clock.Now().UnixNano()})
+	return *s.keys[key], nil
 }
 
 // RevokeAPIKey invalidates a key; every later use answers 403.
 func (s *Service) RevokeAPIKey(key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.crashed.Load() {
 		return ErrUnavailable
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k, ok := s.keys[key]
-	if !ok {
+	if _, ok := s.keys[key]; !ok {
 		return ErrBadAPIKey
 	}
-	k.Revoked = true
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlKeyRevoke,
-		BroadcastID: key,
-		Payload:     encodeCtrl(ctrlKeyRevokeRec{}),
-	})
+	opKeyRevoke.commitLocked(s, key, ctrlKeyRevokeRec{})
 	return nil
 }
 
@@ -316,46 +284,37 @@ func (s *Service) resolveKeyLocked(key string) (*tenantState, error) {
 	return ts, nil
 }
 
-// StartBroadcastKey is the key-authenticated StartBroadcast: the broadcast
-// is owned by (and admission-checked against) the key's tenant.
-func (s *Service) StartBroadcastKey(key string, userID uint64, loc geo.Location) (BroadcastGrant, error) {
-	if s.crashed.Load() {
-		return BroadcastGrant{}, ErrUnavailable
-	}
-	s.mu.Lock()
+// admitStartLocked is keyed start admission: key, suspension, then the
+// plan's concurrent-broadcast cap against the replay-rebuilt live counter.
+// Called with s.mu held.
+func (s *Service) admitStartLocked(key string) (*tenantState, error) {
 	ts, err := s.resolveKeyLocked(key)
 	if err != nil {
-		s.mu.Unlock()
-		return BroadcastGrant{}, err
+		return nil, err
 	}
-	tenantID := ts.t.ID
-	s.mu.Unlock()
-	return s.startBroadcastAs(userID, loc, nil, tenantID)
+	if max := ts.t.Plan.MaxConcurrentBroadcasts; max > 0 && ts.live >= max {
+		return nil, &QuotaError{Reason: "concurrent broadcasts at plan limit", RetryAfter: time.Second}
+	}
+	return ts, nil
 }
 
-// JoinKey is the key-authenticated Join: the caller's tenant pays the join
-// rate (plan MaxJoinRPS through the keyed limiter) and must be inside its
-// daily delivered-bytes quota.
-func (s *Service) JoinKey(key string, userID uint64, broadcastID string, loc geo.Location) (ViewerGrant, error) {
-	if s.crashed.Load() {
-		return ViewerGrant{}, ErrUnavailable
-	}
-	s.mu.Lock()
+// admitJoinLocked is keyed join admission: key, suspension, the plan's join
+// rate (the keyed limiter), then the daily delivered-bytes quota. Rate runs
+// before quota so a throttled tenant's Retry-After reflects token arrival.
+// Called with s.mu held.
+func (s *Service) admitJoinLocked(key string) error {
 	ts, err := s.resolveKeyLocked(key)
 	if err != nil {
-		s.mu.Unlock()
-		return ViewerGrant{}, err
+		return err
 	}
-	tenantID, plan := ts.t.ID, ts.t.Plan
-	quotaErr := s.quotaCheckLocked(ts)
-	s.mu.Unlock()
-	if plan.MaxJoinRPS > 0 && !s.joins.Allow(tenantID, plan.MaxJoinRPS, joinBurst(plan)) {
-		return ViewerGrant{}, &QuotaError{Reason: "join rate above plan limit", RetryAfter: rateRetryAfter(plan.MaxJoinRPS)}
+	plan := ts.t.Plan
+	if plan.MaxJoinRPS > 0 && !s.joins.Allow(ts.t.ID, plan.MaxJoinRPS, joinBurst(plan)) {
+		return &QuotaError{Reason: "join rate above plan limit", RetryAfter: rateRetryAfter(plan.MaxJoinRPS)}
 	}
-	if quotaErr != nil {
-		return ViewerGrant{}, quotaErr
+	if qe := s.quotaCheckLocked(ts); qe != nil {
+		return qe
 	}
-	return s.Join(userID, broadcastID, loc)
+	return nil
 }
 
 // rateRetryAfter suggests a wait long enough to earn one token back.
@@ -448,11 +407,11 @@ func (s *Service) meterLocked(tenantID string) *TenantMeter {
 // A crashed control plane skips the flush entirely; the atomics keep
 // accumulating and the next flush after Recover picks them up.
 func (s *Service) FlushUsage() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.crashed.Load() {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	day := s.clock.Now().UTC().Format(usageDayLayout)
 	flushed := 0
 	for tenantID, m := range s.meters {
@@ -467,20 +426,11 @@ func (s *Service) FlushUsage() int {
 			continue
 		}
 		u := ts.usage[day]
-		u.Day = day
-		u.Frames += frames
-		u.Chunks += chunks
-		u.Bytes += bytes
-		ts.usage[day] = u
-		s.appendLocked(journal.Record{
-			Type:        journal.RecordCtrlUsage,
-			BroadcastID: tenantID,
-			Payload: encodeCtrl(ctrlUsageRec{
-				Day:    day,
-				Frames: u.Frames,
-				Chunks: u.Chunks,
-				Bytes:  u.Bytes,
-			}),
+		opUsage.commitLocked(s, tenantID, ctrlUsageRec{
+			Day:    day,
+			Frames: u.Frames + frames,
+			Chunks: u.Chunks + chunks,
+			Bytes:  u.Bytes + bytes,
 		})
 		flushed++
 	}

@@ -69,10 +69,10 @@ func TestTenantCRUDAndKeys(t *testing.T) {
 	}
 
 	u := s.Register("streamer")
-	if _, err := s.StartBroadcastKey("key-forged", u.ID, geo.Location{}); !errors.Is(err, ErrBadAPIKey) {
+	if _, err := s.StartBroadcast(StartRequest{APIKey: "key-forged", UserID: u.ID}); !errors.Is(err, ErrBadAPIKey) {
 		t.Fatalf("forged key: err = %v", err)
 	}
-	grant, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{City: "NYC"})
+	grant, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID, Location: geo.Location{City: "NYC"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTenantCRUDAndKeys(t *testing.T) {
 	if err := s.RevokeAPIKey(k.Key); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{}); !errors.Is(err, ErrKeyRevoked) {
+	if _, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID}); !errors.Is(err, ErrKeyRevoked) {
 		t.Fatalf("revoked key: err = %v", err)
 	}
 	if err := s.RevokeAPIKey("key-nope"); !errors.Is(err, ErrBadAPIKey) {
@@ -99,13 +99,13 @@ func TestTenantCRUDAndKeys(t *testing.T) {
 	if err := s.SuspendTenant(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.JoinKey(k2.Key, u.ID, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrTenantSuspended) {
+	if _, err := s.Join(JoinRequest{APIKey: k2.Key, UserID: u.ID, BroadcastID: grant.BroadcastID}); !errors.Is(err, ErrTenantSuspended) {
 		t.Fatalf("suspended tenant join: err = %v", err)
 	}
 	if err := s.ResumeTenant(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.JoinKey(k2.Key, u.ID, grant.BroadcastID, geo.Location{}); err != nil {
+	if _, err := s.Join(JoinRequest{APIKey: k2.Key, UserID: u.ID, BroadcastID: grant.BroadcastID}); err != nil {
 		t.Fatalf("resumed tenant join: %v", err)
 	}
 }
@@ -116,14 +116,14 @@ func TestTenantConcurrentBroadcastCap(t *testing.T) {
 	k, _ := s.IssueAPIKey(tn.ID)
 	u := s.Register("streamer")
 
-	g1, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{})
+	g1, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{}); err != nil {
+	if _, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.StartBroadcastKey(k.Key, u.ID, geo.Location{})
+	_, err = s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID})
 	var qe *QuotaError
 	if !errors.As(err, &qe) || !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("third start: err = %v, want QuotaError", err)
@@ -132,7 +132,7 @@ func TestTenantConcurrentBroadcastCap(t *testing.T) {
 	if err := s.EndBroadcast(g1.BroadcastID, g1.Token); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{}); err != nil {
+	if _, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID}); err != nil {
 		t.Fatalf("start after end: %v", err)
 	}
 }
@@ -143,18 +143,18 @@ func TestTenantJoinRateLimit(t *testing.T) {
 	tn, _ := s.CreateTenant("rated", Plan{MaxJoinRPS: 1, JoinBurst: 2})
 	k, _ := s.IssueAPIKey(tn.ID)
 	u := s.Register("streamer")
-	grant, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{})
+	grant, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Bucket depth 2: two joins pass, the third is throttled.
 	for i := 0; i < 2; i++ {
-		if _, err := s.JoinKey(k.Key, uint64(100+i), grant.BroadcastID, geo.Location{}); err != nil {
+		if _, err := s.Join(JoinRequest{APIKey: k.Key, UserID: uint64(100 + i), BroadcastID: grant.BroadcastID}); err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 	}
-	_, err = s.JoinKey(k.Key, 200, grant.BroadcastID, geo.Location{})
+	_, err = s.Join(JoinRequest{APIKey: k.Key, UserID: 200, BroadcastID: grant.BroadcastID})
 	var qe *QuotaError
 	if !errors.As(err, &qe) {
 		t.Fatalf("throttled join: err = %v, want QuotaError", err)
@@ -165,10 +165,10 @@ func TestTenantJoinRateLimit(t *testing.T) {
 
 	// One second of virtual time earns one token back.
 	clk.Advance(time.Second)
-	if _, err := s.JoinKey(k.Key, 201, grant.BroadcastID, geo.Location{}); err != nil {
+	if _, err := s.Join(JoinRequest{APIKey: k.Key, UserID: 201, BroadcastID: grant.BroadcastID}); err != nil {
 		t.Fatalf("join after refill: %v", err)
 	}
-	if _, err := s.JoinKey(k.Key, 202, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := s.Join(JoinRequest{APIKey: k.Key, UserID: 202, BroadcastID: grant.BroadcastID}); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("second join after single refill: err = %v", err)
 	}
 
@@ -176,7 +176,7 @@ func TestTenantJoinRateLimit(t *testing.T) {
 	free, _ := s.CreateTenant("unlimited", Plan{})
 	kf, _ := s.IssueAPIKey(free.ID)
 	for i := 0; i < 50; i++ {
-		if _, err := s.JoinKey(kf.Key, uint64(300+i), grant.BroadcastID, geo.Location{}); err != nil {
+		if _, err := s.Join(JoinRequest{APIKey: kf.Key, UserID: uint64(300 + i), BroadcastID: grant.BroadcastID}); err != nil {
 			t.Fatalf("unlimited join %d: %v", i, err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestTenantQuotaAdmission(t *testing.T) {
 	tn, _ := s.CreateTenant("metered", Plan{DailyBytesQuota: 1000})
 	k, _ := s.IssueAPIKey(tn.ID)
 	u := s.Register("streamer")
-	grant, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{})
+	grant, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +199,12 @@ func TestTenantQuotaAdmission(t *testing.T) {
 	}
 	// Under quota: join admitted.
 	m.MeterFrames(10, 400)
-	if _, err := s.JoinKey(k.Key, 100, grant.BroadcastID, geo.Location{}); err != nil {
+	if _, err := s.Join(JoinRequest{APIKey: k.Key, UserID: 100, BroadcastID: grant.BroadcastID}); err != nil {
 		t.Fatalf("under-quota join: %v", err)
 	}
 	// Pending (unflushed) meter bytes count toward the quota too.
 	m.MeterChunks(5, 600)
-	_, err = s.JoinKey(k.Key, 101, grant.BroadcastID, geo.Location{})
+	_, err = s.Join(JoinRequest{APIKey: k.Key, UserID: 101, BroadcastID: grant.BroadcastID})
 	var qe *QuotaError
 	if !errors.As(err, &qe) {
 		t.Fatalf("over-quota join (pending bytes): err = %v, want QuotaError", err)
@@ -217,7 +217,7 @@ func TestTenantQuotaAdmission(t *testing.T) {
 	if n := s.FlushUsage(); n != 1 {
 		t.Fatalf("FlushUsage = %d, want 1", n)
 	}
-	if _, err := s.JoinKey(k.Key, 102, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := s.Join(JoinRequest{APIKey: k.Key, UserID: 102, BroadcastID: grant.BroadcastID}); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-quota join (flushed bytes): err = %v", err)
 	}
 	days, err := s.Usage(tn.ID)
@@ -230,7 +230,7 @@ func TestTenantQuotaAdmission(t *testing.T) {
 
 	// The next UTC day opens a fresh window.
 	clk.Advance(13 * time.Hour)
-	if _, err := s.JoinKey(k.Key, 103, grant.BroadcastID, geo.Location{}); err != nil {
+	if _, err := s.Join(JoinRequest{APIKey: k.Key, UserID: 103, BroadcastID: grant.BroadcastID}); err != nil {
 		t.Fatalf("next-day join: %v", err)
 	}
 
@@ -258,7 +258,7 @@ func TestTenantCrashRecover(t *testing.T) {
 	s.RevokeAPIKey(dead.Key)
 
 	u := s.Register("streamer")
-	grant, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{})
+	grant, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +278,11 @@ func TestTenantCrashRecover(t *testing.T) {
 	if _, err := s.IssueAPIKey(tn.ID); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("IssueAPIKey while crashed: %v", err)
 	}
-	if _, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("StartBroadcastKey while crashed: %v", err)
+	if _, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("keyed StartBroadcast while crashed: %v", err)
 	}
-	if _, err := s.JoinKey(k.Key, 1, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("JoinKey while crashed: %v", err)
+	if _, err := s.Join(JoinRequest{APIKey: k.Key, UserID: 1, BroadcastID: grant.BroadcastID}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("keyed Join while crashed: %v", err)
 	}
 	if _, err := s.Usage(tn.ID); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Usage while crashed: %v", err)
@@ -306,11 +306,11 @@ func TestTenantCrashRecover(t *testing.T) {
 		t.Fatal("suspension lost across recovery")
 	}
 	// Live count survived: plan caps at 1 and the recovered broadcast holds it.
-	if _, err := s.StartBroadcastKey(k.Key, u.ID, geo.Location{}); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := s.StartBroadcast(StartRequest{APIKey: k.Key, UserID: u.ID}); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("cap ignored recovered live broadcast: err = %v", err)
 	}
 	// Revocation survived.
-	if _, err := s.StartBroadcastKey(dead.Key, u.ID, geo.Location{}); !errors.Is(err, ErrKeyRevoked) {
+	if _, err := s.StartBroadcast(StartRequest{APIKey: dead.Key, UserID: u.ID}); !errors.Is(err, ErrKeyRevoked) {
 		t.Fatalf("revoked key after recovery: err = %v", err)
 	}
 	// Usage rollups survived, and the outage-time metering lands on the

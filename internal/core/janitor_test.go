@@ -113,6 +113,13 @@ func TestAPIRateLimiting(t *testing.T) {
 	if throttled != 2 {
 		t.Fatalf("codes = %v, want exactly 2 throttled", codes)
 	}
+	// The 429 is typed: the client sees a quota rejection with a 1 s hint.
+	cc := &control.Client{BaseURL: p.ControlURL()}
+	_, err := cc.GlobalList(context.Background())
+	var qe *control.QuotaError
+	if !errors.Is(err, control.ErrQuotaExceeded) || !errors.As(err, &qe) || qe.RetryAfterHint() != time.Second {
+		t.Fatalf("throttled client err = %v, want QuotaError with 1s hint", err)
+	}
 
 	// Whitelisted platform: the same burst sails through.
 	p2 := startPlatform(t, PlatformConfig{

@@ -309,7 +309,7 @@ func TestPlatformNoisyNeighborSoak(t *testing.T) {
 	// cross the 4000-byte quota, joins that clear the rate limiter are
 	// rejected by the quota check with a day-boundary Retry-After.
 	waitFor(t, 30*time.Second, "loud tenant over its daily byte quota", func() bool {
-		_, err := p.Ctrl.JoinKey(keyL, lou, grantL.BroadcastID, ashburn)
+		_, err := p.Ctrl.Join(control.JoinRequest{APIKey: keyL, UserID: lou, BroadcastID: grantL.BroadcastID, Location: ashburn})
 		var qe *control.QuotaError
 		return errors.As(err, &qe) && qe.Reason == "daily delivered-bytes quota"
 	})
